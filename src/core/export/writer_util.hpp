@@ -1,5 +1,6 @@
-// Internal escaping helpers shared by the exporters. Not part of the
-// public surface (include core/export/export.hpp instead).
+// Internal escaping helpers shared by the exporters and the telemetry
+// JSONL writer. Not part of the public surface (include
+// core/export/export.hpp instead).
 #pragma once
 
 #include <string>
@@ -7,12 +8,17 @@
 
 namespace numaprof::core::export_detail {
 
-/// Escapes `text` for use inside a JSON string literal (quotes, backslash,
-/// and control characters; everything else passes through byte-for-byte).
-inline std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
+/// Appends `text` escaped for use inside a JSON string literal (quotes,
+/// backslash, and control characters; everything else passes through
+/// byte-for-byte). Runs of plain bytes are copied in one append.
+inline void append_json_escaped(std::string& out, std::string_view text) {
+  static constexpr const char* kHex = "0123456789abcdef";
+  std::size_t plain = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -20,16 +26,19 @@ inline std::string json_escape(std::string_view text) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(kHex[(static_cast<unsigned char>(c) >> 4) & 0xF]);
-          out.push_back(kHex[static_cast<unsigned char>(c) & 0xF]);
-        } else {
-          out.push_back(c);
-        }
+        out += "\\u00";
+        out.push_back(kHex[(c >> 4) & 0xF]);
+        out.push_back(kHex[c & 0xF]);
     }
   }
+  out.append(text.data() + plain, text.size() - plain);
+}
+
+/// `text` escaped for use inside a JSON string literal.
+inline std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_json_escaped(out, text);
   return out;
 }
 

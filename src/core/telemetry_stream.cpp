@@ -1,23 +1,29 @@
 #include "core/telemetry_stream.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
+#include "core/export/writer_util.hpp"
 #include "simrt/thread.hpp"
 #include "support/error.hpp"
 
 namespace numaprof::core {
 namespace {
 
+using support::HotCounter;
 using support::TelemetryCounter;
 using support::TelemetryEvent;
 using support::TelemetryEventKind;
 using support::TelemetrySnapshot;
 using support::ThreadTelemetry;
+
+constexpr std::size_t kCounterCount = support::kTelemetryCounterCount;
+using CounterBlock = std::array<std::uint64_t, kCounterCount>;
 
 std::string percent(double fraction) {
   char buf[32];
@@ -25,104 +31,155 @@ std::string percent(double fraction) {
   return buf;
 }
 
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
+/// The JSONL name of every counter, in enum order.
+const std::array<std::string_view, kCounterCount>& counter_names() {
+  static const auto names = [] {
+    std::array<std::string_view, kCounterCount> out;
+    for (std::size_t i = 0; i < kCounterCount; ++i) {
+      out[i] = to_string(static_cast<TelemetryCounter>(i));
     }
-  }
-  os << '"';
-}
-
-void write_counters(std::ostream& os,
-                    const std::array<std::uint64_t,
-                                     support::kTelemetryCounterCount>& c) {
-  os << '{';
-  for (std::size_t i = 0; i < support::kTelemetryCounterCount; ++i) {
-    if (i) os << ',';
-    write_json_string(os, to_string(static_cast<TelemetryCounter>(i)));
-    os << ':' << c[i];
-  }
-  os << '}';
-}
-
-void write_u64_array(std::ostream& os, const std::vector<std::uint64_t>& v) {
-  os << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) os << ',';
-    os << v[i];
-  }
-  os << ']';
-}
-
-void write_hot_array(std::ostream& os,
-                     const std::vector<support::HotCounter>& rows) {
-  os << '[';
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const support::HotCounter& row = rows[i];
-    if (i) os << ',';
-    os << "{\"key\":" << row.key << ",\"domain\":" << row.domain
-       << ",\"count\":" << row.count << ",\"mismatch\":" << row.mismatch
-       << ",\"label\":";
-    write_json_string(os, row.label);
-    os << '}';
-  }
-  os << ']';
+    return out;
+  }();
+  return names;
 }
 
 // ---------------------------------------------------------------------
-// A minimal JSON reader for the trace schema. Each JSONL line is parsed
-// independently; errors carry the 1-based line number.
+// The writer: each snapshot line and its event lines are formatted into
+// one buffer and handed to the stream in a single write.
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
+void put_u64(std::string& out, std::uint64_t value) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
 
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
+void put_string(std::string& out, std::string_view s) {
+  out += '"';
+  export_detail::append_json_escaped(out, s);
+  out += '"';
+}
+
+void put_counters(std::string& out, const CounterBlock& c) {
+  out += '{';
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    if (i) out += ',';
+    put_string(out, counter_names()[i]);
+    out += ':';
+    put_u64(out, c[i]);
   }
-};
+  out += '}';
+}
 
-class JsonParser {
+void put_u64_array(std::string& out, const std::vector<std::uint64_t>& v) {
+  out += '[';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i) out += ',';
+    put_u64(out, v[i]);
+  }
+  out += ']';
+}
+
+void put_hot_array(std::string& out, const std::vector<HotCounter>& rows) {
+  out += '[';
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const HotCounter& row = rows[i];
+    if (i) out += ',';
+    out += "{\"key\":";
+    put_u64(out, row.key);
+    out += ",\"domain\":";
+    put_u64(out, row.domain);
+    out += ",\"count\":";
+    put_u64(out, row.count);
+    out += ",\"mismatch\":";
+    put_u64(out, row.mismatch);
+    out += ",\"label\":";
+    put_string(out, row.label);
+    out += '}';
+  }
+  out += ']';
+}
+
+void write_snapshot_jsonl_impl(const TelemetrySnapshot& snapshot,
+                               const pmu::Mechanism* mechanism,
+                               std::ostream& os) {
+  // Reused across calls so steady-state streaming does not allocate.
+  thread_local std::string out;
+  out.clear();
+  out += "{\"type\":\"snapshot\",\"v\":2,\"seq\":";
+  put_u64(out, snapshot.sequence);
+  out += ",\"t\":";
+  put_u64(out, snapshot.time);
+  if (mechanism != nullptr) {
+    out += ",\"mechanism\":";
+    put_string(out, pmu::to_string(*mechanism));
+  }
+  out += ",\"totals\":";
+  put_counters(out, snapshot.totals);
+  out += ",\"domain-match\":";
+  put_u64_array(out, snapshot.domain_match);
+  out += ",\"domain-mismatch\":";
+  put_u64_array(out, snapshot.domain_mismatch);
+  out += ",\"hot-pages\":";
+  put_hot_array(out, snapshot.hot_pages);
+  out += ",\"hot-vars\":";
+  put_hot_array(out, snapshot.hot_vars);
+  out += ",\"threads\":[";
+  for (std::size_t i = 0; i < snapshot.threads.size(); ++i) {
+    const ThreadTelemetry& thread = snapshot.threads[i];
+    if (i) out += ',';
+    out += "{\"tid\":";
+    put_u64(out, thread.tid);
+    out += ",\"counters\":";
+    put_counters(out, thread.counters);
+    out += ",\"domain-match\":";
+    put_u64_array(out, thread.domain_match);
+    out += ",\"domain-mismatch\":";
+    put_u64_array(out, thread.domain_mismatch);
+    out += ",\"hot-paths\":";
+    put_hot_array(out, thread.hot_paths);
+    out += '}';
+  }
+  out += "]}\n";
+  for (const TelemetryEvent& event : snapshot.events) {
+    out += "{\"type\":\"event\",\"t\":";
+    put_u64(out, event.time);
+    out += ",\"tid\":";
+    put_u64(out, event.tid);
+    out += ",\"kind\":";
+    put_string(out, to_string(event.kind));
+    out += ",\"value\":";
+    put_u64(out, event.value);
+    out += ",\"detail\":";
+    put_string(out, event.detail_view());
+    out += "}\n";
+  }
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
+// ---------------------------------------------------------------------
+// The reader: one pass per JSONL line, decoding straight into the
+// snapshot / event it describes. Keys and escape-free strings are views
+// into the line, integers are parsed exactly, and the values of unknown
+// keys are skipped but must still be well-formed JSON. Errors carry the
+// 1-based line.
+
+[[noreturn]] void trace_error(const std::string& file, std::size_t line,
+                              const std::string& message) {
+  throw Error(ErrorKind::kTelemetry, file, "telemetry", line,
+              "telemetry trace parse error (line " + std::to_string(line) +
+                  "): " + message);
+}
+
+class LineReader {
  public:
-  JsonParser(std::string_view text, std::string file, std::size_t line)
-      : text_(text), file_(std::move(file)), line_(line) {}
+  LineReader(std::string_view text, const std::string& file, std::size_t line)
+      : text_(text), file_(file), line_(line) {}
 
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
   [[noreturn]] void fail(const std::string& message) const {
-    throw Error(ErrorKind::kTelemetry, file_, "telemetry", line_,
-                "telemetry trace parse error (line " + std::to_string(line_) +
-                    "): " + message);
+    trace_error(file_, line_, message);
   }
+
+  std::size_t pos() const noexcept { return pos_; }
+  void seek(std::size_t pos) noexcept { pos_ = pos; }
 
   void skip_ws() {
     while (pos_ < text_.size() &&
@@ -131,7 +188,7 @@ class JsonParser {
     }
   }
 
-  char peek() {
+  char peek() const {
     if (pos_ >= text_.size()) fail("unexpected end of line");
     return text_[pos_];
   }
@@ -143,224 +200,278 @@ class JsonParser {
     ++pos_;
   }
 
-  JsonValue parse_value() {
+  /// Only whitespace may follow the line's value.
+  void finish() {
     skip_ws();
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kString;
-      v.string = parse_string();
-      return v;
-    }
-    if (c == 't' || c == 'f') return parse_bool();
-    if (c == 'n') {
-      literal("null");
-      return {};
-    }
-    return parse_number();
+    if (pos_ != text_.size()) fail("trailing characters after JSON value");
   }
 
-  void literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      fail("malformed literal");
-    }
-    pos_ += word.size();
-  }
-
-  JsonValue parse_bool() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (peek() == 't') {
-      literal("true");
-      v.boolean = true;
-    } else {
-      literal("false");
-    }
-    return v;
-  }
-
-  JsonValue parse_number() {
+  /// A string value. Escape-free strings are views into the line; others
+  /// are decoded into a buffer the next string() call reuses.
+  std::string_view string() {
+    expect('"');
     const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
       ++pos_;
     }
-    if (pos_ == start) fail("expected a number");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    try {
-      v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
+    if (pos_ >= text_.size()) fail("unterminated string");
+    if (text_[pos_] == '"') return text_.substr(start, pos_++ - start);
+    decoded_.assign(text_.substr(start, pos_ - start));
     while (true) {
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') return decoded_;
       if (c != '\\') {
-        out.push_back(c);
+        decoded_.push_back(c);
         continue;
       }
       if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("malformed \\u escape");
-          }
-          // The writer only emits \u00xx for control bytes.
-          out.push_back(static_cast<char>(code & 0xFF));
-          break;
-        }
+      switch (text_[pos_++]) {
+        case '"': decoded_.push_back('"'); break;
+        case '\\': decoded_.push_back('\\'); break;
+        case '/': decoded_.push_back('/'); break;
+        case 'n': decoded_.push_back('\n'); break;
+        case 't': decoded_.push_back('\t'); break;
+        case 'r': decoded_.push_back('\r'); break;
+        case 'u': decoded_.push_back(unicode_escape()); break;
         default: fail("unknown escape");
       }
     }
   }
 
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
+  /// An unsigned integer value, exact over the whole u64 range. Negative,
+  /// fractional and non-numeric values are rejected.
+  std::uint64_t u64(std::string_view what) {
+    const char* first = text_.data() + pos_;
+    const char* last = text_.data() + text_.size();
+    std::uint64_t value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() ||
+        (end != last && (*end == '.' || *end == 'e' || *end == 'E'))) {
+      fail(std::string(what) + " must be a non-negative number");
+    }
+    pos_ += static_cast<std::size_t>(end - first);
+    return value;
+  }
+
+  /// Calls `on_key(key)` for every member of an object; `on_key` must
+  /// consume the member's value. A key view may dangle once the value
+  /// has been read.
+  template <typename OnKey>
+  void object(OnKey&& on_key) {
+    expect('{');
     skip_ws();
-    if (peek() == ']') {
+    if (peek() == '}') {
       ++pos_;
-      return v;
+      return;
     }
     while (true) {
-      v.array.push_back(parse_value());
       skip_ws();
-      if (peek() == ']') {
+      const std::string_view key = string();
+      skip_ws();
+      expect(':');
+      skip_ws();
+      on_key(key);
+      skip_ws();
+      if (peek() == '}') {
         ++pos_;
-        return v;
+        return;
       }
       expect(',');
     }
   }
 
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
+  /// Calls `on_element()` for every element of an array; it must consume
+  /// the element.
+  template <typename OnElement>
+  void array(OnElement&& on_element) {
+    expect('[');
     skip_ws();
-    if (peek() == '}') {
+    if (peek() == ']') {
       ++pos_;
-      return v;
+      return;
     }
     while (true) {
       skip_ws();
-      std::string key = parse_string();
+      on_element();
       skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == '}') {
+      if (peek() == ']') {
         ++pos_;
-        return v;
+        return;
       }
       expect(',');
+    }
+  }
+
+  /// Skips one well-formed value of any type.
+  void skip_value() {
+    switch (peek()) {
+      case '{': object([this](std::string_view) { skip_value(); }); return;
+      case '[': array([this] { skip_value(); }); return;
+      case '"': string(); return;
+      case 't': literal("true"); return;
+      case 'f': literal("false"); return;
+      case 'n': literal("null"); return;
+      default: number(); return;
+    }
+  }
+
+ private:
+  /// The four hex digits after `\u`. The writer only emits \u00xx for
+  /// control bytes, so the code unit's low byte is the decoded byte.
+  char unicode_escape() {
+    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+      else fail("malformed \\u escape");
+    }
+    return static_cast<char>(code & 0xFF);
+  }
+
+  void literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) fail("malformed literal");
+    pos_ += word.size();
+  }
+
+  /// A JSON number: -?digits(.digits)?([eE][+-]?digits)?
+  void number() {
+    const auto digits = [this] {
+      const std::size_t start = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        ++pos_;
+      }
+      return pos_ > start;
+    };
+    const std::size_t start = pos_;
+    if (text_[pos_] == '-') ++pos_;
+    if (!digits()) fail(pos_ == start ? "expected a number" : "malformed number");
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!digits()) fail("malformed number");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      if (!digits()) fail("malformed number");
     }
   }
 
   std::string_view text_;
-  std::string file_;
-  std::size_t line_ = 0;
+  const std::string& file_;
+  std::size_t line_;
   std::size_t pos_ = 0;
+  std::string decoded_;
 };
 
-[[noreturn]] void trace_error(const std::string& file, std::size_t line,
-                              const std::string& message) {
-  throw Error(ErrorKind::kTelemetry, file, "telemetry", line,
-              "telemetry trace parse error (line " + std::to_string(line) +
-                  "): " + message);
+/// Which known keys an object has shown so far: the first occurrence of a
+/// key wins and later duplicates are skipped unread.
+class FirstKeys {
+ public:
+  bool claim(std::string_view key, std::string_view name, unsigned bit) {
+    if (key != name || (seen_ & (1u << bit)) != 0) return false;
+    seen_ |= 1u << bit;
+    return true;
+  }
+
+ private:
+  unsigned seen_ = 0;
+};
+
+std::size_t counter_index(std::string_view name, std::size_t guess) {
+  const auto& names = counter_names();
+  if (guess < kCounterCount && names[guess] == name) return guess;
+  return static_cast<std::size_t>(
+      std::find(names.begin(), names.end(), name) - names.begin());
 }
 
-std::uint64_t as_u64(const JsonValue& v, const std::string& file,
-                     std::size_t line, const char* what) {
-  if (v.kind != JsonValue::Kind::kNumber || v.number < 0) {
-    trace_error(file, line, std::string(what) + " must be a non-negative number");
-  }
-  return static_cast<std::uint64_t>(v.number);
+/// A counter block. Every entry is read, so a duplicated counter keeps its
+/// last value; unknown counters are skipped so newer traces load in older
+/// readers.
+void read_counters(LineReader& in, CounterBlock& out) {
+  if (in.peek() != '{') in.fail("counter block must be an object");
+  std::size_t next = 0;  // the writer emits counters in enum order
+  in.object([&](std::string_view key) {
+    const std::size_t c = counter_index(key, next);
+    if (c == kCounterCount) {
+      in.skip_value();
+      return;
+    }
+    out[c] = in.u64(counter_names()[c]);
+    next = c + 1;
+  });
 }
 
-std::vector<std::uint64_t> as_u64_array(const JsonValue& v,
-                                        const std::string& file,
-                                        std::size_t line, const char* what) {
-  if (v.kind != JsonValue::Kind::kArray) {
-    trace_error(file, line, std::string(what) + " must be an array");
-  }
-  std::vector<std::uint64_t> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) out.push_back(as_u64(e, file, line, what));
-  return out;
+void read_u64_array(LineReader& in, std::vector<std::uint64_t>& out,
+                    std::string_view what) {
+  if (in.peek() != '[') in.fail(std::string(what) + " must be an array");
+  in.array([&] { out.push_back(in.u64(what)); });
 }
 
-std::vector<support::HotCounter> as_hot_array(const JsonValue& v,
-                                              const std::string& file,
-                                              std::size_t line,
-                                              const char* what) {
-  if (v.kind != JsonValue::Kind::kArray) {
-    trace_error(file, line, std::string(what) + " must be an array");
-  }
-  std::vector<support::HotCounter> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) {
-    if (e.kind != JsonValue::Kind::kObject) {
-      trace_error(file, line, std::string(what) + " entries must be objects");
+void read_hot_array(LineReader& in, std::vector<HotCounter>& out,
+                    std::string_view what) {
+  if (in.peek() != '[') in.fail(std::string(what) + " must be an array");
+  in.array([&] {
+    if (in.peek() != '{') {
+      in.fail(std::string(what) + " entries must be objects");
     }
-    support::HotCounter row;
-    if (const JsonValue* key = e.find("key")) {
-      row.key = as_u64(*key, file, line, "key");
-    }
-    if (const JsonValue* domain = e.find("domain")) {
-      row.domain =
-          static_cast<std::uint32_t>(as_u64(*domain, file, line, "domain"));
-    }
-    if (const JsonValue* count = e.find("count")) {
-      row.count = as_u64(*count, file, line, "count");
-    }
-    if (const JsonValue* mismatch = e.find("mismatch")) {
-      row.mismatch = as_u64(*mismatch, file, line, "mismatch");
-    }
-    if (const JsonValue* label = e.find("label")) {
-      if (label->kind != JsonValue::Kind::kString) {
-        trace_error(file, line,
-                    std::string(what) + " labels must be strings");
+    HotCounter& row = out.emplace_back();
+    FirstKeys keys;
+    in.object([&](std::string_view key) {
+      if (keys.claim(key, "key", 0)) {
+        row.key = in.u64("key");
+      } else if (keys.claim(key, "domain", 1)) {
+        row.domain = static_cast<std::uint32_t>(in.u64("domain"));
+      } else if (keys.claim(key, "count", 2)) {
+        row.count = in.u64("count");
+      } else if (keys.claim(key, "mismatch", 3)) {
+        row.mismatch = in.u64("mismatch");
+      } else if (keys.claim(key, "label", 4)) {
+        if (in.peek() != '"') {
+          in.fail(std::string(what) + " labels must be strings");
+        }
+        row.label = in.string();
+      } else {
+        in.skip_value();
       }
-      row.label = label->string;
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
+    });
+  });
 }
 
-bool counter_from_string(std::string_view name, TelemetryCounter& out) {
-  for (std::size_t i = 0; i < support::kTelemetryCounterCount; ++i) {
-    const auto c = static_cast<TelemetryCounter>(i);
-    if (to_string(c) == name) {
-      out = c;
+void read_thread(LineReader& in, ThreadTelemetry& thread,
+                 std::size_t domains) {
+  // Thread rows carry the snapshot's domain width: size the columns once.
+  thread.domain_match.reserve(domains);
+  thread.domain_mismatch.reserve(domains);
+  FirstKeys keys;
+  in.object([&](std::string_view key) {
+    if (keys.claim(key, "tid", 0)) {
+      thread.tid = static_cast<std::uint32_t>(in.u64("tid"));
+    } else if (keys.claim(key, "counters", 1)) {
+      read_counters(in, thread.counters);
+    } else if (keys.claim(key, "domain-match", 2)) {
+      read_u64_array(in, thread.domain_match, "domain-match");
+    } else if (keys.claim(key, "domain-mismatch", 3)) {
+      read_u64_array(in, thread.domain_mismatch, "domain-mismatch");
+    } else if (keys.claim(key, "hot-paths", 4)) {
+      read_hot_array(in, thread.hot_paths, "hot-paths");
+    } else {
+      in.skip_value();
+    }
+  });
+}
+
+bool mechanism_from_string(std::string_view name, pmu::Mechanism& out) {
+  for (int i = 0; i < pmu::kMechanismCount; ++i) {
+    const auto m = static_cast<pmu::Mechanism>(i);
+    if (pmu::to_string(m) == name) {
+      out = m;
       return true;
     }
   }
@@ -378,116 +489,107 @@ bool event_kind_from_string(std::string_view name, TelemetryEventKind& out) {
   return false;
 }
 
-bool mechanism_from_string(std::string_view name, pmu::Mechanism& out) {
-  for (int i = 0; i < pmu::kMechanismCount; ++i) {
-    const auto m = static_cast<pmu::Mechanism>(i);
-    if (pmu::to_string(m) == name) {
-      out = m;
-      return true;
+/// A snapshot line; a "mechanism" key lands in `mechanism`.
+void read_snapshot(LineReader& in, TelemetrySnapshot& snap,
+                   std::optional<pmu::Mechanism>& mechanism) {
+  FirstKeys keys;
+  in.object([&](std::string_view key) {
+    if (keys.claim(key, "seq", 0)) {
+      snap.sequence = in.u64("seq");
+    } else if (keys.claim(key, "t", 1)) {
+      snap.time = in.u64("t");
+    } else if (keys.claim(key, "mechanism", 2)) {
+      pmu::Mechanism m{};
+      if (in.peek() != '"' || !mechanism_from_string(in.string(), m)) {
+        in.fail("unknown mechanism");
+      }
+      mechanism = m;
+    } else if (keys.claim(key, "totals", 3)) {
+      read_counters(in, snap.totals);
+    } else if (keys.claim(key, "domain-match", 4)) {
+      read_u64_array(in, snap.domain_match, "domain-match");
+    } else if (keys.claim(key, "domain-mismatch", 5)) {
+      read_u64_array(in, snap.domain_mismatch, "domain-mismatch");
+    } else if (keys.claim(key, "hot-pages", 6)) {
+      read_hot_array(in, snap.hot_pages, "hot-pages");
+    } else if (keys.claim(key, "hot-vars", 7)) {
+      read_hot_array(in, snap.hot_vars, "hot-vars");
+    } else if (keys.claim(key, "threads", 8)) {
+      if (in.peek() != '[') in.fail("threads must be an array");
+      in.array([&] {
+        if (in.peek() != '{') in.fail("thread rows must be objects");
+        read_thread(in, snap.threads.emplace_back(), snap.domain_match.size());
+      });
+    } else {
+      in.skip_value();
     }
-  }
-  return false;
+  });
 }
 
-void fold_counters(
-    const JsonValue& object,
-    std::array<std::uint64_t, support::kTelemetryCounterCount>& out,
-    const std::string& file, std::size_t line) {
-  if (object.kind != JsonValue::Kind::kObject) {
-    trace_error(file, line, "counter block must be an object");
-  }
-  for (const auto& [key, value] : object.object) {
-    TelemetryCounter c{};
-    // Unknown counters are skipped so newer traces load in older readers.
-    if (!counter_from_string(key, c)) continue;
-    out[static_cast<std::size_t>(c)] = as_u64(value, file, line, key.c_str());
-  }
-}
-
-TelemetrySnapshot parse_snapshot_line(const JsonValue& root,
-                                      const std::string& file,
-                                      std::size_t line) {
-  TelemetrySnapshot snap;
-  if (const JsonValue* seq = root.find("seq")) {
-    snap.sequence = as_u64(*seq, file, line, "seq");
-  }
-  if (const JsonValue* t = root.find("t")) {
-    snap.time = as_u64(*t, file, line, "t");
-  }
-  if (const JsonValue* totals = root.find("totals")) {
-    fold_counters(*totals, snap.totals, file, line);
-  }
-  if (const JsonValue* match = root.find("domain-match")) {
-    snap.domain_match = as_u64_array(*match, file, line, "domain-match");
-  }
-  if (const JsonValue* mismatch = root.find("domain-mismatch")) {
-    snap.domain_mismatch =
-        as_u64_array(*mismatch, file, line, "domain-mismatch");
-  }
-  if (const JsonValue* pages = root.find("hot-pages")) {
-    snap.hot_pages = as_hot_array(*pages, file, line, "hot-pages");
-  }
-  if (const JsonValue* vars = root.find("hot-vars")) {
-    snap.hot_vars = as_hot_array(*vars, file, line, "hot-vars");
-  }
-  if (const JsonValue* threads = root.find("threads")) {
-    if (threads->kind != JsonValue::Kind::kArray) {
-      trace_error(file, line, "threads must be an array");
-    }
-    for (const JsonValue& row : threads->array) {
-      if (row.kind != JsonValue::Kind::kObject) {
-        trace_error(file, line, "thread rows must be objects");
-      }
-      ThreadTelemetry thread;
-      if (const JsonValue* tid = row.find("tid")) {
-        thread.tid =
-            static_cast<std::uint32_t>(as_u64(*tid, file, line, "tid"));
-      }
-      if (const JsonValue* counters = row.find("counters")) {
-        fold_counters(*counters, thread.counters, file, line);
-      }
-      if (const JsonValue* match = row.find("domain-match")) {
-        thread.domain_match = as_u64_array(*match, file, line, "domain-match");
-      }
-      if (const JsonValue* mismatch = row.find("domain-mismatch")) {
-        thread.domain_mismatch =
-            as_u64_array(*mismatch, file, line, "domain-mismatch");
-      }
-      if (const JsonValue* paths = row.find("hot-paths")) {
-        thread.hot_paths = as_hot_array(*paths, file, line, "hot-paths");
-      }
-      snap.threads.push_back(std::move(thread));
-    }
-  }
-  return snap;
-}
-
-TelemetryEvent parse_event_line(const JsonValue& root, const std::string& file,
-                                std::size_t line) {
+TelemetryEvent read_event(LineReader& in) {
   TelemetryEvent event;
-  const JsonValue* kind = root.find("kind");
-  if (kind == nullptr || kind->kind != JsonValue::Kind::kString) {
-    trace_error(file, line, "event lines require a string \"kind\"");
-  }
-  if (!event_kind_from_string(kind->string, event.kind)) {
-    trace_error(file, line, "unknown event kind \"" + kind->string + "\"");
-  }
-  if (const JsonValue* t = root.find("t")) {
-    event.time = as_u64(*t, file, line, "t");
-  }
-  if (const JsonValue* tid = root.find("tid")) {
-    event.tid = static_cast<std::uint32_t>(as_u64(*tid, file, line, "tid"));
-  }
-  if (const JsonValue* value = root.find("value")) {
-    event.value = as_u64(*value, file, line, "value");
-  }
-  if (const JsonValue* detail = root.find("detail")) {
-    if (detail->kind != JsonValue::Kind::kString) {
-      trace_error(file, line, "detail must be a string");
+  bool has_kind = false;
+  FirstKeys keys;
+  in.object([&](std::string_view key) {
+    if (keys.claim(key, "kind", 0)) {
+      if (in.peek() != '"') in.fail("event lines require a string \"kind\"");
+      const std::string_view kind = in.string();
+      if (!event_kind_from_string(kind, event.kind)) {
+        in.fail("unknown event kind \"" + std::string(kind) + "\"");
+      }
+      has_kind = true;
+    } else if (keys.claim(key, "t", 1)) {
+      event.time = in.u64("t");
+    } else if (keys.claim(key, "tid", 2)) {
+      event.tid = static_cast<std::uint32_t>(in.u64("tid"));
+    } else if (keys.claim(key, "value", 3)) {
+      event.value = in.u64("value");
+    } else if (keys.claim(key, "detail", 4)) {
+      if (in.peek() != '"') in.fail("detail must be a string");
+      event.set_detail(in.string());
+    } else {
+      in.skip_value();
     }
-    event.set_detail(detail->string);
-  }
+  });
+  if (!has_kind) in.fail("event lines require a string \"kind\"");
   return event;
+}
+
+enum class LineType : std::uint8_t { kSnapshot, kEvent, kOther };
+
+/// The line's "type" (its first occurrence), leaving the reader where it
+/// started. The writer puts "type" first, so only lines from other
+/// producers need the scan of the whole object.
+LineType line_type(LineReader& in) {
+  const std::size_t start = in.pos();
+  std::optional<LineType> type;
+  const auto claim = [&](std::string_view key) {
+    if (type || key != "type") return false;
+    if (in.peek() != '"') in.fail("trace lines require a string \"type\"");
+    const std::string_view name = in.string();
+    type = name == "snapshot" ? LineType::kSnapshot
+           : name == "event"  ? LineType::kEvent
+                              : LineType::kOther;
+    return true;
+  };
+  in.expect('{');
+  in.skip_ws();
+  if (in.peek() == '"') {
+    const std::string_view key = in.string();
+    in.skip_ws();
+    in.expect(':');
+    in.skip_ws();
+    claim(key);
+  }
+  if (!type) {
+    in.seek(start);
+    in.object([&](std::string_view key) {
+      if (!claim(key)) in.skip_value();
+    });
+  }
+  in.seek(start);
+  if (!type) in.fail("trace lines require a string \"type\"");
+  return *type;
 }
 
 }  // namespace
@@ -576,54 +678,6 @@ std::vector<std::string> format_event_lines(
   return lines;
 }
 
-namespace {
-
-void write_snapshot_jsonl_impl(const TelemetrySnapshot& snapshot,
-                               const pmu::Mechanism* mechanism,
-                               std::ostream& os) {
-  os << "{\"type\":\"snapshot\",\"v\":2,\"seq\":" << snapshot.sequence
-     << ",\"t\":" << snapshot.time;
-  if (mechanism != nullptr) {
-    os << ",\"mechanism\":";
-    write_json_string(os, pmu::to_string(*mechanism));
-  }
-  os << ",\"totals\":";
-  write_counters(os, snapshot.totals);
-  os << ",\"domain-match\":";
-  write_u64_array(os, snapshot.domain_match);
-  os << ",\"domain-mismatch\":";
-  write_u64_array(os, snapshot.domain_mismatch);
-  os << ",\"hot-pages\":";
-  write_hot_array(os, snapshot.hot_pages);
-  os << ",\"hot-vars\":";
-  write_hot_array(os, snapshot.hot_vars);
-  os << ",\"threads\":[";
-  for (std::size_t i = 0; i < snapshot.threads.size(); ++i) {
-    const ThreadTelemetry& thread = snapshot.threads[i];
-    if (i) os << ',';
-    os << "{\"tid\":" << thread.tid << ",\"counters\":";
-    write_counters(os, thread.counters);
-    os << ",\"domain-match\":";
-    write_u64_array(os, thread.domain_match);
-    os << ",\"domain-mismatch\":";
-    write_u64_array(os, thread.domain_mismatch);
-    os << ",\"hot-paths\":";
-    write_hot_array(os, thread.hot_paths);
-    os << '}';
-  }
-  os << "]}\n";
-  for (const TelemetryEvent& event : snapshot.events) {
-    os << "{\"type\":\"event\",\"t\":" << event.time
-       << ",\"tid\":" << event.tid << ",\"kind\":";
-    write_json_string(os, to_string(event.kind));
-    os << ",\"value\":" << event.value << ",\"detail\":";
-    write_json_string(os, event.detail_view());
-    os << "}\n";
-  }
-}
-
-}  // namespace
-
 void write_snapshot_jsonl(const TelemetrySnapshot& snapshot,
                           pmu::Mechanism mechanism, std::ostream& os) {
   write_snapshot_jsonl_impl(snapshot, &mechanism, os);
@@ -637,30 +691,47 @@ void write_snapshot_jsonl(const TelemetrySnapshot& snapshot,
 bool append_trace_line(TelemetryTrace& trace, std::string_view line,
                        std::size_t lineno, const std::string& file) {
   if (line.empty()) return false;
-  JsonParser parser(line, file, lineno);
-  const JsonValue root = parser.parse();
-  if (root.kind != JsonValue::Kind::kObject) {
-    trace_error(file, lineno, "every trace line must be a JSON object");
+  LineReader in(line, file, lineno);
+  in.skip_ws();
+  if (in.peek() != '{') {
+    in.skip_value();
+    in.finish();
+    in.fail("every trace line must be a JSON object");
   }
-  const JsonValue* type = root.find("type");
-  if (type == nullptr || type->kind != JsonValue::Kind::kString) {
-    trace_error(file, lineno, "trace lines require a string \"type\"");
-  }
-  if (type->string == "snapshot") {
-    if (const JsonValue* mech = root.find("mechanism")) {
-      if (mech->kind != JsonValue::Kind::kString ||
-          !mechanism_from_string(mech->string, trace.mechanism)) {
-        trace_error(file, lineno, "unknown mechanism");
+  switch (line_type(in)) {
+    case LineType::kSnapshot: {
+      // Decoded in place; a line that fails leaves the trace untouched.
+      // Successive snapshots of a run usually have as many threads.
+      const std::size_t threads =
+          trace.snapshots.empty() ? 0 : trace.snapshots.back().threads.size();
+      TelemetrySnapshot& snap = trace.snapshots.emplace_back();
+      snap.threads.reserve(threads);
+      std::optional<pmu::Mechanism> mechanism;
+      try {
+        read_snapshot(in, snap, mechanism);
+        in.finish();
+      } catch (...) {
+        trace.snapshots.pop_back();
+        throw;
       }
-      trace.has_mechanism = true;
+      if (mechanism) {
+        trace.mechanism = *mechanism;
+        trace.has_mechanism = true;
+      }
+      return true;
     }
-    trace.snapshots.push_back(parse_snapshot_line(root, file, lineno));
-    return true;
+    case LineType::kEvent: {
+      const TelemetryEvent event = read_event(in);
+      in.finish();
+      trace.events.push_back(event);
+      return false;
+    }
+    case LineType::kOther:
+      // Unknown line types are skipped (forward compatibility).
+      in.skip_value();
+      in.finish();
+      return false;
   }
-  if (type->string == "event") {
-    trace.events.push_back(parse_event_line(root, file, lineno));
-  }
-  // Unknown line types are skipped (forward compatibility).
   return false;
 }
 

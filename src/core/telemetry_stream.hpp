@@ -61,15 +61,17 @@ std::vector<std::string> format_event_lines(
 /// hot-variable rows and per-thread hot call paths ride along), then one
 /// `event` object per event drained into this snapshot. The overload
 /// without a mechanism omits the "mechanism" key (used by sinks that do
-/// not know it, e.g. numaprofd --telemetry-out).
+/// not know it, e.g. numaprofd --telemetry-out). The lines are formatted
+/// into one buffer and reach `os` in a single write.
 void write_snapshot_jsonl(const support::TelemetrySnapshot& snapshot,
                           pmu::Mechanism mechanism, std::ostream& os);
 void write_snapshot_jsonl(const support::TelemetrySnapshot& snapshot,
                           std::ostream& os);
 
-/// Parses a JSONL trace written by write_snapshot_jsonl. Unknown keys are
-/// ignored (forward compatibility); malformed lines throw numaprof::Error
-/// with kind kTelemetry naming the 1-based line.
+/// Parses a JSONL trace written by write_snapshot_jsonl. Unknown keys and
+/// line types are skipped (forward compatibility); integers are read
+/// exactly as u64. Malformed lines throw numaprof::Error with kind
+/// kTelemetry naming the 1-based line.
 TelemetryTrace load_telemetry_trace(std::istream& is);
 TelemetryTrace load_telemetry_trace_file(const std::string& path);
 
@@ -92,8 +94,12 @@ std::string render_health_pane(const TelemetryTrace& trace,
 /// Machine observer that emits a telemetry snapshot every
 /// `interval_instructions` retired instructions (virtual time advances
 /// only inside the simulator, so instruction count is the natural
-/// interval unit). Attach alongside the profiler; call flush() after
-/// run() for the final partial interval.
+/// interval unit). on_exec counts each exec batch and on_access the one
+/// instruction every load/store retires, so together they count
+/// SimThread::instructions() except the bookkeeping instruction each
+/// wrapped malloc/free retires (no observer hook reports it). Attach
+/// alongside the profiler; call flush() after run() for the final
+/// partial interval.
 class TelemetryStreamer final : public simrt::MachineObserver {
  public:
   struct Config {

@@ -12,7 +12,6 @@
 
 #include "numasim/queue_model.hpp"
 #include "numasim/types.hpp"
-#include "support/stats.hpp"
 
 namespace numaprof::numasim {
 
@@ -28,9 +27,6 @@ class MemoryController {
   }
 
   std::uint64_t requests() const noexcept { return queue_.requests(); }
-  const support::Accumulator& queue_delay() const noexcept {
-    return queue_.delay_stats();
-  }
 
   void reset_stats() noexcept { queue_.reset_stats(); }
 

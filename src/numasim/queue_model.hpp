@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "numasim/types.hpp"
-#include "support/stats.hpp"
 
 namespace numaprof::numasim {
 
@@ -43,19 +42,18 @@ class QueueModel {
     ++requests_;
     const Cycles elapsed = now - epoch * epoch_length_;
     const Cycles delay = backlog > elapsed ? backlog - elapsed : 0;
-    delay_stats_.add(static_cast<double>(delay));
+    max_delay_ = delay > max_delay_ ? delay : max_delay_;
     return delay;
   }
 
   Cycles service() const noexcept { return service_; }
   std::uint64_t requests() const noexcept { return requests_; }
-  const support::Accumulator& delay_stats() const noexcept {
-    return delay_stats_;
-  }
+  /// Largest queueing delay any request has seen since the last reset.
+  Cycles max_delay() const noexcept { return max_delay_; }
 
   void reset_stats() noexcept {
     requests_ = 0;
-    delay_stats_ = {};
+    max_delay_ = 0;
   }
 
  private:
@@ -70,7 +68,7 @@ class QueueModel {
                                  // virtual time than the scheduler's
                                  // maximum thread-clock skew (one quantum)
   std::uint64_t requests_ = 0;
-  support::Accumulator delay_stats_;
+  Cycles max_delay_ = 0;
 };
 
 }  // namespace numaprof::numasim

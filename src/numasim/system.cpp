@@ -85,10 +85,6 @@ std::vector<std::uint64_t> System::controller_requests() const {
   return counts;
 }
 
-double System::controller_mean_queue_delay(DomainId domain) const {
-  return controllers_.at(domain).queue_delay().mean();
-}
-
 void System::reset_stats() noexcept {
   for (auto& controller : controllers_) controller.reset_stats();
   interconnect_.reset_stats();

@@ -48,9 +48,6 @@ class System {
   /// Per-domain DRAM request counts (the Figure 1 balance measurement).
   std::vector<std::uint64_t> controller_requests() const;
 
-  /// Mean queueing delay observed at one controller, in cycles.
-  double controller_mean_queue_delay(DomainId domain) const;
-
   const Interconnect& interconnect() const noexcept { return interconnect_; }
   Interconnect& interconnect() noexcept { return interconnect_; }
 

@@ -45,49 +45,30 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
-/// Groups raw hot rows by (key, domain), sums counts, then keeps the
-/// kHotTopK hottest rows per domain, sorted (domain asc, count desc,
-/// mismatch desc, key asc) for deterministic rendering.
-std::vector<HotCounter> fold_hot(std::vector<HotCounter> raw) {
-  std::sort(raw.begin(), raw.end(),
-            [](const HotCounter& a, const HotCounter& b) {
-              if (a.domain != b.domain) return a.domain < b.domain;
-              return a.key < b.key;
-            });
-  std::vector<HotCounter> merged;
-  for (HotCounter& row : raw) {
-    if (!merged.empty() && merged.back().domain == row.domain &&
-        merged.back().key == row.key) {
-      merged.back().count += row.count;
-      merged.back().mismatch += row.mismatch;
-      if (merged.back().label.empty()) {
-        merged.back().label = std::move(row.label);
-      }
-    } else {
-      merged.push_back(std::move(row));
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const HotCounter& a, const HotCounter& b) {
-              if (a.domain != b.domain) return a.domain < b.domain;
-              if (a.count != b.count) return a.count > b.count;
-              if (a.mismatch != b.mismatch) return a.mismatch > b.mismatch;
-              return a.key < b.key;
-            });
-  std::vector<HotCounter> out;
-  std::uint32_t current_domain = 0;
-  std::size_t in_domain = 0;
-  for (HotCounter& row : merged) {
-    if (out.empty() || row.domain != current_domain) {
-      current_domain = row.domain;
-      in_domain = 0;
-    }
-    if (in_domain < kHotTopK) {
-      out.push_back(std::move(row));
-      ++in_domain;
-    }
-  }
-  return out;
+/// The published order of folded page / variable rows: (domain asc,
+/// count desc, mismatch desc, key asc). Folded rows are distinct (key,
+/// domain) groups, so this is a total order.
+bool hotter(const HotEntry& a, const HotEntry& b) {
+  if (a.domain != b.domain) return a.domain < b.domain;
+  if (a.count != b.count) return a.count > b.count;
+  if (a.mismatch != b.mismatch) return a.mismatch > b.mismatch;
+  return a.key < b.key;
+}
+
+/// The published order of one thread's call paths: (count desc, key asc;
+/// domain breaks the tie a path published under two domains would leave).
+bool hotter_path(const HotEntry& a, const HotEntry& b) {
+  if (a.count != b.count) return a.count > b.count;
+  if (a.key != b.key) return a.key < b.key;
+  return a.domain < b.domain;
+}
+
+HotCounter with_label(HotTableKind table, const HotEntry& entry) {
+  return HotCounter{.key = entry.key,
+                    .domain = entry.domain,
+                    .count = entry.count,
+                    .mismatch = entry.mismatch,
+                    .label = entry.ring->hot_label(table, entry.slot)};
 }
 
 }  // namespace
@@ -120,9 +101,8 @@ bool TelemetryRing::publish(const TelemetryEvent& event) noexcept {
 void TelemetryRing::store_label(HotSlot& slot,
                                 std::string_view label) noexcept {
   char bytes[kHotLabelBytes] = {};
-  const std::size_t n =
-      label.size() < kHotLabelBytes - 1 ? label.size() : kHotLabelBytes - 1;
-  std::memcpy(bytes, label.data(), n);
+  // copy(), unlike memcpy, is defined for an empty view's null data().
+  label.copy(bytes, kHotLabelBytes - 1);
   for (std::size_t w = 0; w < slot.label.size(); ++w) {
     std::uint64_t word = 0;
     std::memcpy(&word, bytes + w * 8, 8);
@@ -177,24 +157,42 @@ void TelemetryRing::add_hot(HotTableKind table, std::uint64_t key,
 }
 
 void TelemetryRing::collect_hot(HotTableKind table,
-                                std::vector<HotCounter>& out) const {
+                                std::vector<HotEntry>& out) const {
   const HotTable& slots = hot_[static_cast<std::size_t>(table)];
-  for (const HotSlot& s : slots) {
+  for (std::uint32_t i = 0; i < slots.size(); ++i) {
+    const HotSlot& s = slots[i];
     if (s.used.load(std::memory_order_acquire) == 0) continue;
-    HotCounter row;
-    row.key = s.key.load(std::memory_order_relaxed);
-    row.domain = s.domain.load(std::memory_order_relaxed);
-    row.count = s.count.load(std::memory_order_relaxed);
-    row.mismatch = s.mismatch.load(std::memory_order_relaxed);
-    char bytes[kHotLabelBytes];
-    for (std::size_t w = 0; w < s.label.size(); ++w) {
-      const std::uint64_t word = s.label[w].load(std::memory_order_relaxed);
-      std::memcpy(bytes + w * 8, &word, 8);
-    }
-    bytes[kHotLabelBytes - 1] = '\0';
-    row.label = bytes;
-    out.push_back(std::move(row));
+    const std::uint64_t first_word = s.label[0].load(std::memory_order_relaxed);
+    char first_byte = 0;
+    std::memcpy(&first_byte, &first_word, 1);
+    out.push_back(HotEntry{.key = s.key.load(std::memory_order_relaxed),
+                           .count = s.count.load(std::memory_order_relaxed),
+                           .mismatch =
+                               s.mismatch.load(std::memory_order_relaxed),
+                           .domain = s.domain.load(std::memory_order_relaxed),
+                           .slot = i,
+                           .ring = this,
+                           .labeled = first_byte != '\0'});
   }
+}
+
+void TelemetryRing::collect_hot(HotTableKind table,
+                                std::vector<HotCounter>& out) const {
+  std::vector<HotEntry> entries;
+  collect_hot(table, entries);
+  for (const HotEntry& entry : entries) out.push_back(with_label(table, entry));
+}
+
+std::string TelemetryRing::hot_label(HotTableKind table,
+                                     std::uint32_t slot) const {
+  const HotSlot& s = hot_[static_cast<std::size_t>(table)][slot];
+  char bytes[kHotLabelBytes];
+  for (std::size_t w = 0; w < s.label.size(); ++w) {
+    const std::uint64_t word = s.label[w].load(std::memory_order_relaxed);
+    std::memcpy(bytes + w * 8, &word, 8);
+  }
+  bytes[kHotLabelBytes - 1] = '\0';
+  return bytes;
 }
 
 void TelemetryRing::drain(std::vector<TelemetryEvent>& out) {
@@ -242,20 +240,79 @@ std::size_t TelemetryHub::ring_count() const noexcept {
   return count;
 }
 
+void TelemetryHub::fold_hot(HotTableKind table,
+                            const std::vector<HotEntry>& raw,
+                            std::vector<HotCounter>& out) {
+  // Group rows by (key, domain) through an open-addressed index into
+  // groups_, summing counts; a group's label comes from its first row
+  // with a non-empty label.
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::size_t buckets = 16;
+  while (buckets < 2 * raw.size()) buckets <<= 1;
+  group_index_.assign(buckets, kNone);
+  groups_.clear();
+  for (const HotEntry& row : raw) {
+    std::size_t b = static_cast<std::size_t>(
+        ((row.key ^ (std::uint64_t{row.domain} << 48)) *
+         0x9E3779B97F4A7C15ULL) >>
+        32);
+    for (;; ++b) {
+      std::uint32_t& index = group_index_[b & (buckets - 1)];
+      if (index == kNone) {
+        index = static_cast<std::uint32_t>(groups_.size());
+        groups_.push_back(row);
+        break;
+      }
+      HotEntry& group = groups_[index];
+      if (group.key == row.key && group.domain == row.domain) {
+        group.count += row.count;
+        group.mismatch += row.mismatch;
+        if (!group.labeled && row.labeled) {
+          group.ring = row.ring;
+          group.slot = row.slot;
+          group.labeled = true;
+        }
+        break;
+      }
+    }
+  }
+  // Per domain, ascending: select the kHotTopK hottest groups and copy
+  // out only their labels.
+  auto rest = groups_.begin();
+  while (rest != groups_.end()) {
+    const std::uint32_t domain =
+        std::min_element(rest, groups_.end(),
+                         [](const HotEntry& a, const HotEntry& b) {
+                           return a.domain < b.domain;
+                         })
+            ->domain;
+    const auto domain_end =
+        std::partition(rest, groups_.end(), [domain](const HotEntry& e) {
+          return e.domain == domain;
+        });
+    const auto keep =
+        rest + std::min<std::ptrdiff_t>(kHotTopK, domain_end - rest);
+    std::partial_sort(rest, keep, domain_end, hotter);
+    for (auto it = rest; it != keep; ++it) out.push_back(with_label(table, *it));
+    rest = domain_end;
+  }
+}
+
 TelemetrySnapshot TelemetryHub::snapshot(std::uint64_t time) {
   TelemetrySnapshot snap;
   snap.sequence = ++sequence_;
   snap.time = time;
   snap.domain_match.assign(config_.domain_count, 0);
   snap.domain_mismatch.assign(config_.domain_count, 0);
-  std::vector<HotCounter> raw_pages;
-  std::vector<HotCounter> raw_vars;
+  snap.threads.reserve(threads_seen_);
+  raw_pages_.clear();
+  raw_vars_.clear();
 
   for (std::uint32_t tid = 0; tid < kMaxThreads; ++tid) {
     TelemetryRing* ring = rings_[tid].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
 
-    ThreadTelemetry row;
+    ThreadTelemetry& row = snap.threads.emplace_back();
     row.tid = ring->tid();
     for (std::size_t c = 0; c < kTelemetryCounterCount; ++c) {
       row.counters[c] = ring->counter(static_cast<TelemetryCounter>(c));
@@ -272,20 +329,24 @@ TelemetrySnapshot TelemetryHub::snapshot(std::uint64_t time) {
         snap.domain_mismatch[d] += row.domain_mismatch[d];
       }
     }
-    ring->collect_hot(HotTableKind::kPages, raw_pages);
-    ring->collect_hot(HotTableKind::kVariables, raw_vars);
-    ring->collect_hot(HotTableKind::kPaths, row.hot_paths);
-    std::sort(row.hot_paths.begin(), row.hot_paths.end(),
-              [](const HotCounter& a, const HotCounter& b) {
-                if (a.count != b.count) return a.count > b.count;
-                return a.key < b.key;
-              });
-    if (row.hot_paths.size() > kHotTopK) row.hot_paths.resize(kHotTopK);
-    snap.threads.push_back(std::move(row));
+    ring->collect_hot(HotTableKind::kPages, raw_pages_);
+    ring->collect_hot(HotTableKind::kVariables, raw_vars_);
+    raw_paths_.clear();
+    ring->collect_hot(HotTableKind::kPaths, raw_paths_);
+    const auto keep = raw_paths_.begin() +
+                      static_cast<std::ptrdiff_t>(
+                          std::min(kHotTopK, raw_paths_.size()));
+    std::partial_sort(raw_paths_.begin(), keep, raw_paths_.end(),
+                      hotter_path);
+    row.hot_paths.reserve(static_cast<std::size_t>(keep - raw_paths_.begin()));
+    for (auto it = raw_paths_.begin(); it != keep; ++it) {
+      row.hot_paths.push_back(with_label(HotTableKind::kPaths, *it));
+    }
     ring->drain(snap.events);
   }
-  snap.hot_pages = fold_hot(std::move(raw_pages));
-  snap.hot_vars = fold_hot(std::move(raw_vars));
+  threads_seen_ = snap.threads.size();
+  fold_hot(HotTableKind::kPages, raw_pages_, snap.hot_pages);
+  fold_hot(HotTableKind::kVariables, raw_vars_, snap.hot_vars);
 
   // Per-ring drains are FIFO; the cross-ring order is made deterministic
   // by (time, tid, kind) — stable so same-key events keep queue order.

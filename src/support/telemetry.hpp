@@ -32,6 +32,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -124,6 +125,21 @@ struct HotCounter {
   }
 };
 
+class TelemetryRing;
+
+/// One live hot-table slot as the snapshot fold ranks it. The label stays
+/// in the ring (TelemetryRing::hot_label) until the row survives the
+/// top-K cut.
+struct HotEntry {
+  std::uint64_t key = 0;
+  std::uint64_t count = 0;
+  std::uint64_t mismatch = 0;
+  std::uint32_t domain = 0;
+  std::uint32_t slot = 0;  // index within the ring's table
+  const TelemetryRing* ring = nullptr;
+  bool labeled = false;  // the slot's label is non-empty
+};
+
 /// One thread's telemetry: a counter block plus a bounded event queue.
 class TelemetryRing {
  public:
@@ -177,6 +193,10 @@ class TelemetryRing {
   void drain(std::vector<TelemetryEvent>& out);
   /// Appends every live hot-table slot to `out` (unordered; callers sort).
   void collect_hot(HotTableKind table, std::vector<HotCounter>& out) const;
+  /// The same slots without their labels, for ranking before copying.
+  void collect_hot(HotTableKind table, std::vector<HotEntry>& out) const;
+  /// The label of slot `slot` of `table`.
+  std::string hot_label(HotTableKind table, std::uint32_t slot) const;
 
  private:
   /// One bounded hot-table slot. Every field is a relaxed atomic so the
@@ -289,10 +309,20 @@ class TelemetryHub {
   TelemetrySnapshot snapshot(std::uint64_t time = 0);
 
  private:
+  void fold_hot(HotTableKind table, const std::vector<HotEntry>& raw,
+                std::vector<HotCounter>& out);
+
   TelemetryConfig config_;
   std::array<std::atomic<TelemetryRing*>, kMaxThreads> rings_{};
   std::mutex growth_;
   std::uint64_t sequence_ = 0;
+  // Scratch that snapshot() reuses from call to call.
+  std::size_t threads_seen_ = 0;
+  std::vector<HotEntry> raw_pages_;
+  std::vector<HotEntry> raw_vars_;
+  std::vector<HotEntry> raw_paths_;
+  std::vector<HotEntry> groups_;
+  std::vector<std::uint32_t> group_index_;
 };
 
 }  // namespace numaprof::support

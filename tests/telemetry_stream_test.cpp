@@ -5,15 +5,19 @@
 // live profiler run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "apps/miniamg.hpp"
+#include "apps/minilulesh.hpp"
 #include "core/profiler.hpp"
 #include "core/telemetry_stream.hpp"
 #include "numasim/topology.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/telemetry.hpp"
 
 namespace numaprof::core {
@@ -490,6 +494,50 @@ TEST(TelemetryStreamerTest, FlushOnIntervalBoundaryIsNoOp) {
   EXPECT_EQ(streamer.snapshots_emitted(), after);
 }
 
+// The interval unit is retired instructions: on_exec adds each exec
+// batch and on_access the one instruction each load/store retires, so the
+// two together count SimThread::instructions(), except the bookkeeping
+// instruction each malloc/free retires (no hook reports it).
+TEST(TelemetryStreamerTest, IntervalCountsExecAndAccessInstructions) {
+  TelemetryHub hub;
+  std::ostringstream jsonl;
+  TelemetryStreamer::Config cfg;
+  cfg.interval_instructions = 100;
+  cfg.jsonl = &jsonl;
+  TelemetryStreamer streamer(hub, cfg);
+
+  simrt::Machine machine(numasim::test_machine(2, 2));
+  machine.set_telemetry(&hub);
+  machine.add_observer(streamer);
+  std::uint64_t retired = 0;
+  parallel_region(machine, 1, "mix", {},
+                  [&](simrt::SimThread& t, std::uint32_t) -> simrt::Task {
+                    const simos::VAddr data = t.malloc(simos::kPageBytes);
+                    for (std::uint64_t i = 0; i < 250; ++i) {
+                      t.exec(3);
+                      t.load(data + (i * 64) % simos::kPageBytes);
+                    }
+                    t.free(data);
+                    retired = t.instructions();
+                    co_return;
+                  });
+  machine.remove_observer(streamer);
+
+  // 250 x (3 exec + 1 load) = 1000 counted instructions: one snapshot
+  // every 25 iterations, the last exactly on the final load.
+  EXPECT_EQ(retired, 1000u + 2u);  // + the malloc and the free
+  EXPECT_EQ(streamer.snapshots_emitted(), 10u);
+  streamer.flush(machine.elapsed());
+  EXPECT_EQ(streamer.snapshots_emitted(), 10u);
+
+  std::istringstream is(jsonl.str());
+  const TelemetryTrace trace = load_telemetry_trace(is);
+  ASSERT_EQ(trace.snapshots.size(), 10u);
+  for (std::size_t i = 1; i < trace.snapshots.size(); ++i) {
+    EXPECT_GT(trace.snapshots[i].time, trace.snapshots[i - 1].time);
+  }
+}
+
 // Schema v2: per-domain hot-page/hot-variable rows and per-thread hot
 // call paths survive the JSONL round trip.
 TEST(TelemetryJsonl, HotCountersRoundTrip) {
@@ -581,6 +629,344 @@ TEST(TelemetryJsonl, AppendTraceLineReportsSnapshotAdds) {
     EXPECT_EQ(e.line(), 41u);
     EXPECT_NE(std::string(e.what()).find("line 41"), std::string::npos)
         << e.what();
+  }
+}
+
+// The JSONL bytes a case-study recording streams, locked by size and
+// FNV-1a hash: the writer may change how it formats, never what it writes.
+// Both recordings run under IBS with the streamer at its default interval.
+std::string record_case_jsonl(const std::string& app) {
+  simrt::Machine machine(numasim::amd_magny_cours());
+  TelemetryHub hub;
+  machine.set_telemetry(&hub);
+
+  ProfilerConfig cfg;
+  cfg.event = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
+  cfg.event.period = 50;
+  cfg.event.min_sample_gap = 20'000;
+  cfg.telemetry = &hub;
+  Profiler profiler(machine, cfg);
+
+  std::ostringstream jsonl;
+  TelemetryStreamer::Config stream_cfg;
+  stream_cfg.jsonl = &jsonl;
+  stream_cfg.mechanism = profiler.sampler().mechanism();
+  TelemetryStreamer streamer(hub, stream_cfg);
+  machine.add_observer(streamer);
+  if (app == "lulesh") {
+    apps::run_minilulesh(machine, {.threads = 48,
+                                   .pages_per_thread = 2,
+                                   .timesteps = 4,
+                                   .variant = apps::Variant::kBaseline});
+  } else {
+    apps::run_miniamg(machine, {.threads = 48,
+                                .rows_per_thread = 256,
+                                .nnz_per_row = 4,
+                                .relax_sweeps = 2,
+                                .matvec_sweeps = 1,
+                                .variant = apps::Variant::kBaseline});
+  }
+  streamer.flush(machine.elapsed());
+  machine.remove_observer(streamer);
+  return jsonl.str();
+}
+
+TEST(TelemetryJsonlBytes, CaseStudyTracesAreByteStable) {
+  struct Locked {
+    const char* app;
+    std::size_t bytes;
+    std::uint64_t fnv1a;
+  };
+  for (const Locked& want :
+       {Locked{"lulesh", 246122, 12175343825269182990ULL},
+        Locked{"amg", 356933, 1705341895286631217ULL}}) {
+    const std::string jsonl = record_case_jsonl(want.app);
+    const std::size_t lines = static_cast<std::size_t>(
+        std::count(jsonl.begin(), jsonl.end(), '\n'));
+    EXPECT_GE(lines, 10u) << want.app;
+    EXPECT_EQ(jsonl.size(), want.bytes) << want.app;
+    EXPECT_EQ(support::fnv1a64(jsonl), want.fnv1a) << want.app;
+  }
+}
+
+// One line per field of a loaded trace, so a table row can state the
+// expected outcome of a load as text.
+std::string describe(const TelemetryTrace& trace) {
+  std::ostringstream os;
+  const auto counters = [&os](const auto& values) {
+    os << '{';
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (values[i] == 0) continue;
+      os << to_string(static_cast<TelemetryCounter>(i)) << '=' << values[i]
+         << ' ';
+    }
+    os << '}';
+  };
+  const auto column = [&os](const std::vector<std::uint64_t>& values) {
+    os << '[';
+    for (const std::uint64_t v : values) os << v << ' ';
+    os << ']';
+  };
+  const auto hot = [&os](const std::vector<support::HotCounter>& rows) {
+    os << '[';
+    for (const support::HotCounter& r : rows) {
+      os << r.key << '/' << r.domain << '/' << r.count << '/' << r.mismatch
+         << "/'" << r.label << "' ";
+    }
+    os << ']';
+  };
+  if (trace.has_mechanism) os << "mech " << pmu::to_string(trace.mechanism) << ';';
+  for (const TelemetrySnapshot& s : trace.snapshots) {
+    os << "S" << s.sequence << " t=" << s.time << ' ';
+    counters(s.totals);
+    column(s.domain_match);
+    column(s.domain_mismatch);
+    hot(s.hot_pages);
+    hot(s.hot_vars);
+    for (const support::ThreadTelemetry& t : s.threads) {
+      os << " T" << t.tid;
+      counters(t.counters);
+      column(t.domain_match);
+      column(t.domain_mismatch);
+      hot(t.hot_paths);
+    }
+    os << ';';
+  }
+  for (const TelemetryEvent& e : trace.events) {
+    os << "E " << to_string(e.kind) << " t=" << e.time << " tid=" << e.tid
+       << " v=" << e.value << " '" << e.detail_view() << "';";
+  }
+  return os.str();
+}
+
+// The reader's contract on awkward input, one row per case: either the
+// trace it loads (as describe() text) or the 1-based line a kTelemetry
+// error names, plus a message fragment where the wording is part of the
+// contract.
+struct ReaderCase {
+  const char* name;
+  std::string text;
+  std::string loads;        // describe() of the trace; unused on error
+  std::size_t error_line;   // 0: the text must load
+  const char* needle = "";  // expected in the error message
+};
+
+std::vector<ReaderCase> reader_cases() {
+  const std::string snap = "{\"type\":\"snapshot\",";
+  const std::string event = "{\"type\":\"event\",\"kind\":\"thread-start\",";
+  return {
+      // Truncated lines.
+      {"truncated object", snap + "\"seq\":1", "", 1},
+      {"truncated after key", snap + "\"seq\"", "", 1},
+      {"truncated string", event + "\"detail\":\"abc", "", 1},
+      {"truncated escape", event + "\"detail\":\"abc\\", "", 1},
+      {"truncated array", snap + "\"domain-match\":[1,2", "", 1},
+      {"truncated on line 3", "\n" + snap + "\"seq\":1}\n" + snap, "", 3},
+      {"missing value", snap + "\"seq\":}", "", 1},
+      {"missing colon", snap + "\"seq\" 1}", "", 1},
+      {"trailing characters", snap + "\"seq\":1} x", "", 1, "trailing"},
+      {"malformed literal", snap + "\"x\":tru}", "", 1},
+      // Escapes.
+      {"escapes decode",
+       event + "\"t\":1,\"detail\":\"q\\\"b\\\\s\\/n\\nt\\tr\\r\"}",
+       "E thread-start t=1 tid=0 v=0 'q\"b\\s/n\nt\tr\r';", 0},
+      {"unicode escapes keep the low byte",
+       event + "\"detail\":\"\\u0041\\u00e9\\u0009\\u0141\"}",
+       "E thread-start t=0 tid=0 v=0 'A\xe9\tA';", 0},
+      {"unknown escape", event + "\"detail\":\"a\\qb\"}", "", 1,
+       "unknown escape"},
+      {"short unicode escape", event + "\"detail\":\"\\u00\"}", "", 1},
+      {"non-hex unicode escape", event + "\"detail\":\"\\u00zz\"}", "", 1,
+       "\\u escape"},
+      {"escaped key", snap + "\"s\\u0065q\":4}",
+       "S4 t=0 {}[][][][];", 0},
+      // Negative numbers.
+      {"negative time", snap + "\"t\":-4}", "", 1, "non-negative"},
+      {"negative counter", snap + "\"totals\":{\"samples\":-1}}", "", 1,
+       "non-negative"},
+      {"negative column entry", snap + "\"domain-match\":[1,-2]}", "", 1,
+       "non-negative"},
+      {"negative hot count", snap + "\"hot-pages\":[{\"count\":-1}]}", "", 1,
+       "non-negative"},
+      {"negative event value", event + "\"value\":-3}", "", 1,
+       "non-negative"},
+      {"negative unknown key is skipped", snap + "\"future\":-5,\"seq\":2}",
+       "S2 t=0 {}[][][][];", 0},
+      {"string where a number belongs", snap + "\"seq\":\"1\"}", "", 1,
+       "non-negative"},
+      // Unknown keys and line types.
+      {"unknown keys of every shape",
+       snap + "\"seq\":1,\"a\":{\"b\":[1,{\"c\":\"}]\"}],\"d\":null},"
+              "\"e\":true,\"f\":false,\"g\":[],\"h\":{},\"i\":1.5e3,"
+              "\"totals\":{\"samples\":2,\"no-such-counter\":\"x\"}}",
+       "S1 t=0 {samples=2 }[][][][];", 0},
+      {"unknown keys in nested rows",
+       snap + "\"hot-pages\":[{\"key\":5,\"z\":[{}],\"count\":2}],"
+              "\"threads\":[{\"tid\":3,\"y\":\"q\",\"counters\":{}}]}",
+       "S0 t=0 {}[][][5/0/2/0/'' ][] T3{}[][][];", 0},
+      {"unknown line type", "{\"type\":\"future\",\"x\":[1,2]}", "", 0},
+      {"unknown line type must still parse", "{\"type\":\"future\",\"x\":[1,",
+       "", 1},
+      {"type is required", "{\"t\":1}", "", 1, "require a string \"type\""},
+      {"type must be a string", "{\"type\":1}", "", 1,
+       "require a string \"type\""},
+      {"not an object", "[1,2,3]", "", 1, "must be a JSON object"},
+      {"event needs a kind", "{\"type\":\"event\",\"t\":1}", "", 1,
+       "require a string \"kind\""},
+      {"unknown event kind", "{\"type\":\"event\",\"kind\":\"bogus\"}", "", 1,
+       "unknown event kind"},
+      {"unknown mechanism", snap + "\"mechanism\":\"x86\"}", "", 1,
+       "unknown mechanism"},
+      {"event keys ignore snapshot fields",
+       event + "\"totals\":7,\"tid\":2}",
+       "E thread-start t=0 tid=2 v=0 '';", 0},
+      // Duplicate keys: the first wins (only counter blocks fold every
+      // entry, so there the last wins).
+      {"duplicate scalar", snap + "\"seq\":1,\"seq\":2}", "S1 t=0 {}[][][][];",
+       0},
+      {"duplicate is not type-checked", snap + "\"t\":1,\"t\":-1}",
+       "S0 t=1 {}[][][][];", 0},
+      {"duplicate type", snap + "\"type\":\"event\",\"seq\":5}",
+       "S5 t=0 {}[][][][];", 0},
+      {"duplicate array",
+       snap + "\"domain-match\":[1],\"domain-match\":[2,3]}",
+       "S0 t=0 {}[1 ][][][];", 0},
+      {"duplicate hot field",
+       snap + "\"hot-vars\":[{\"key\":1,\"count\":3,\"count\":5,"
+              "\"label\":\"a\",\"label\":7}]}",
+       "S0 t=0 {}[][][][1/0/3/0/'a' ];", 0},
+      {"duplicate counter: last wins",
+       snap + "\"totals\":{\"samples\":4,\"samples\":9}}",
+       "S0 t=0 {samples=9 }[][][][];", 0},
+      {"duplicate event field", event + "\"tid\":1,\"tid\":2,\"detail\":\"a\","
+                                        "\"detail\":\"b\"}",
+       "E thread-start t=0 tid=1 v=0 'a';", 0},
+      // Whitespace: spaces and tabs anywhere between tokens.
+      {"spaces and tabs",
+       " \t{ \"type\" :\t\"snapshot\" , \"seq\" : 2 ,\"domain-match\" : [ 1 ,"
+       " 2 ] , \"threads\" : [ { \"tid\" : 1 } ] }\t ",
+       "S2 t=0 {}[1 2 ][][][] T1{}[][][];", 0},
+      {"blank lines are skipped", "\n\n" + snap + "\"seq\":7}\n\n",
+       "S7 t=0 {}[][][][];", 0},
+      {"whitespace-only line", "  \t", "", 1},
+      {"carriage return is not whitespace", snap + "\"seq\":1}\r", "", 1},
+      // v1 lines: no "v", no hot arrays.
+      {"v1 snapshot",
+       "{\"type\":\"snapshot\",\"seq\":1,\"t\":120,\"mechanism\":\"IBS\","
+       "\"totals\":{\"samples\":6,\"instructions\":900},"
+       "\"domain-match\":[4,1],\"domain-mismatch\":[0,1],\"threads\":[{"
+       "\"tid\":0,\"counters\":{\"samples\":6},\"domain-match\":[4,1],"
+       "\"domain-mismatch\":[0,1]}]}\n"
+       "{\"type\":\"event\",\"t\":7,\"tid\":0,\"kind\":\"period-retune\","
+       "\"value\":4096,\"detail\":\"starved\"}",
+       "mech IBS;S1 t=120 {samples=6 instructions=900 }[4 1 ][0 1 ][][]"
+       " T0{samples=6 }[4 1 ][0 1 ][];"
+       "E period-retune t=7 tid=0 v=4096 'starved';",
+       0},
+      {"v2 snapshot",
+       "{\"type\":\"snapshot\",\"v\":2,\"seq\":2,\"t\":9,"
+       "\"mechanism\":\"PEBS\",\"hot-pages\":[{\"key\":64,\"domain\":1,"
+       "\"count\":5,\"mismatch\":3,\"label\":\"\"}],\"hot-vars\":[{\"key\":7,"
+       "\"domain\":0,\"count\":1,\"mismatch\":1,\"label\":\"matrix[]\"}],"
+       "\"threads\":[{\"tid\":3,\"hot-paths\":[{\"key\":12,\"domain\":0,"
+       "\"count\":1,\"mismatch\":0,\"label\":\"main>solve\"}]}]}",
+       "mech PEBS;S2 t=9 {}[][][64/1/5/3/'' ][7/0/1/1/'matrix[]' ]"
+       " T3{}[][][12/0/1/0/'main>solve' ];",
+       0},
+      {"long detail is truncated",
+       event + "\"detail\":\"" + std::string(70, 'd') + "\"}",
+       "E thread-start t=0 tid=0 v=0 '" + std::string(55, 'd') + "';", 0},
+      {"wrong shapes", snap + "\"totals\":[1]}", "", 1, "object"},
+      {"thread rows must be objects", snap + "\"threads\":[1]}", "", 1,
+       "thread rows must be objects"},
+      {"detail must be a string", event + "\"detail\":1}", "", 1,
+       "detail must be a string"},
+  };
+}
+
+TEST(TelemetryJsonlReader, EdgeCaseTable) {
+  for (const ReaderCase& row : reader_cases()) {
+    std::istringstream is(row.text);
+    if (row.error_line == 0) {
+      try {
+        EXPECT_EQ(describe(load_telemetry_trace(is)), row.loads) << row.name;
+      } catch (const Error& e) {
+        ADD_FAILURE() << row.name << ": unexpected error: " << e.what();
+      }
+      continue;
+    }
+    try {
+      load_telemetry_trace(is);
+      ADD_FAILURE() << row.name << ": expected an error on line "
+                    << row.error_line;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kTelemetry) << row.name;
+      EXPECT_EQ(e.line(), row.error_line) << row.name << ": " << e.what();
+      const std::string message = e.what();
+      EXPECT_NE(message.find("line " + std::to_string(row.error_line)),
+                std::string::npos)
+          << row.name << ": " << message;
+      EXPECT_NE(message.find(row.needle), std::string::npos)
+          << row.name << ": " << message;
+    }
+  }
+}
+
+// Integers load exactly over the whole u64 range: counters past 2^53
+// (latency sums on long runs) must not round through a double, and a
+// fractional or out-of-range value is an error, not a truncation.
+TEST(TelemetryJsonl, IntegersRoundTripExactly) {
+  constexpr std::uint64_t kPast53 = (std::uint64_t{1} << 53) + 1;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  TelemetrySnapshot snap;
+  snap.sequence = kPast53;
+  snap.time = kMax;
+  snap.totals[static_cast<std::size_t>(TelemetryCounter::kLatencyCycles)] =
+      kPast53;
+  snap.totals[static_cast<std::size_t>(
+      TelemetryCounter::kRemoteLatencyCycles)] = kMax;
+  snap.domain_match = {kMax, kPast53};
+  snap.hot_pages.push_back({.key = kMax, .domain = 1, .count = kPast53,
+                            .mismatch = kMax, .label = ""});
+  support::ThreadTelemetry thread;
+  thread.tid = 4;
+  thread.counters[static_cast<std::size_t>(TelemetryCounter::kInstructions)] =
+      kMax;
+  snap.threads.push_back(thread);
+  TelemetryEvent event;
+  event.time = kPast53;
+  event.value = kMax;
+  snap.events.push_back(event);
+
+  std::ostringstream os;
+  write_snapshot_jsonl(snap, os);
+  std::istringstream is(os.str());
+  const TelemetryTrace trace = load_telemetry_trace(is);
+  ASSERT_EQ(trace.snapshots.size(), 1u);
+  const TelemetrySnapshot& loaded = trace.snapshots[0];
+  EXPECT_EQ(loaded.sequence, kPast53);
+  EXPECT_EQ(loaded.time, kMax);
+  EXPECT_EQ(loaded.totals, snap.totals);
+  EXPECT_EQ(loaded.domain_match, snap.domain_match);
+  EXPECT_EQ(loaded.hot_pages, snap.hot_pages);
+  ASSERT_EQ(loaded.threads.size(), 1u);
+  EXPECT_EQ(loaded.threads[0].counters, thread.counters);
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0].time, kPast53);
+  EXPECT_EQ(trace.events[0].value, kMax);
+
+  for (const char* value : {"1.9", "1.0", "1e3", "18446744073709551616"}) {
+    std::istringstream bad(std::string("{\"type\":\"snapshot\",\"t\":") +
+                           value + "}");
+    try {
+      load_telemetry_trace(bad);
+      ADD_FAILURE() << value << " loaded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kTelemetry);
+      EXPECT_NE(std::string(e.what()).find("t must be a non-negative number"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
