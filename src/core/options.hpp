@@ -4,8 +4,8 @@
 // The analyzer surface accreted piecemeal: core::MergeOptions configured
 // the shard merge, core::AnalyzerOptions the per-thread store fold, and
 // the CLIs grew ad-hoc flags on top. Both stages now consume this single
-// struct; the old types survive only as thin deprecated shims
-// (docs/api.md describes the deprecation policy).
+// struct; the old types went through the deprecation policy of docs/api.md
+// and are gone.
 #pragma once
 
 #include <cstddef>

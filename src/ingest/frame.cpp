@@ -50,13 +50,6 @@ std::size_t resync_consumed(std::string_view buffer) {
 
 }  // namespace
 
-std::uint32_t crc32(std::string_view bytes, std::uint32_t seed) {
-  // The table-driven IEEE implementation moved to support/hash.hpp so the
-  // binary profile format (core/format) shares it without linking ingest;
-  // this wrapper keeps the ingest surface and its callers unchanged.
-  return support::crc32(bytes, seed);
-}
-
 std::string_view to_string(FrameType t) noexcept {
   switch (t) {
     case FrameType::kHello: return "hello";
@@ -98,7 +91,7 @@ std::string encode_frame(const Frame& frame) {
   put_u64(out, frame.sequence);
   put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
   out += frame.payload;
-  put_u32(out, crc32(out));
+  put_u32(out, support::crc32(out));
   return out;
 }
 
@@ -140,7 +133,7 @@ DecodeResult decode_frame(std::string_view buffer) {
     return result;
   }
   const std::uint32_t want =
-      crc32(buffer.substr(0, kFrameHeaderBytes + payload_len));
+      support::crc32(buffer.substr(0, kFrameHeaderBytes + payload_len));
   const std::uint32_t got = get_u32(buffer, kFrameHeaderBytes + payload_len);
   if (want != got) {
     result.status = DecodeStatus::kBadCrc;

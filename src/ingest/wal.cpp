@@ -5,6 +5,7 @@
 
 #include "ingest/frame.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace numaprof::ingest {
 
@@ -57,7 +58,7 @@ std::string encode_wal_record(const WalRecord& record,
   put_u64(out, record.sequence);
   put_u32(out, static_cast<std::uint32_t>(record.payload.size()));
   out += record.payload;
-  put_u32(out, crc32(out));
+  put_u32(out, support::crc32(out));
   return out;
 }
 
@@ -157,7 +158,7 @@ WalReplay scan_wal(const std::string& path) {
       break;
     }
     const std::uint32_t want =
-        crc32(rest.substr(0, kWalHeaderBytes + payload_len));
+        support::crc32(rest.substr(0, kWalHeaderBytes + payload_len));
     if (want != get_u32(rest, kWalHeaderBytes + payload_len)) {
       stop("record checksum mismatch");
       break;

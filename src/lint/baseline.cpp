@@ -8,25 +8,6 @@
 
 namespace numaprof::lint {
 
-namespace {
-
-void esc(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 Baseline make_baseline(const std::vector<core::StaticFinding>& findings) {
   Baseline b;
   for (const core::StaticFinding& f : findings) {
@@ -43,11 +24,11 @@ std::string render_baseline(const Baseline& baseline) {
     if (!first) os << ',';
     first = false;
     os << "\n  {\"file\":";
-    esc(os, std::get<0>(key));
+    append_json_string(os, std::get<0>(key));
     os << ",\"code\":";
-    esc(os, std::get<1>(key));
+    append_json_string(os, std::get<1>(key));
     os << ",\"variable\":";
-    esc(os, std::get<2>(key));
+    append_json_string(os, std::get<2>(key));
     os << ",\"count\":" << count << '}';
   }
   os << (baseline.counts.empty() ? "]}\n" : "\n]}\n");

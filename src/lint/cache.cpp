@@ -16,21 +16,6 @@ namespace {
 /// miss instead of deserializing garbage.
 constexpr int kCacheVersion = 1;
 
-void esc(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) os << c;
-    }
-  }
-  os << '"';
-}
-
 void write_order(std::ostringstream& os, std::pair<int, std::size_t> order) {
   os << '[' << order.first << ',' << order.second << ']';
 }
@@ -44,24 +29,24 @@ std::string render(const FilePhase1& a) {
     const core::StaticFinding& f = a.local.findings[i];
     if (i > 0) os << ',';
     os << "{\"file\":";
-    esc(os, f.file);
+    append_json_string(os, f.file);
     os << ",\"line\":" << f.line << ",\"decl\":" << f.decl_line
        << ",\"variable\":";
-    esc(os, f.variable);
+    append_json_string(os, f.variable);
     os << ",\"kind\":" << static_cast<int>(f.kind)
        << ",\"expected\":" << static_cast<int>(f.expected)
        << ",\"suggested\":" << static_cast<int>(f.suggested) << ",\"message\":";
-    esc(os, f.message);
+    append_json_string(os, f.message);
     os << '}';
   }
   os << "],\"summary\":{\"file\":";
-  esc(os, a.summary.file);
+  append_json_string(os, a.summary.file);
   os << ",\"globals\":[";
   for (std::size_t i = 0; i < a.summary.globals.size(); ++i) {
     const ir::Global& g = a.summary.globals[i];
     if (i > 0) os << ',';
     os << "{\"name\":";
-    esc(os, g.name);
+    append_json_string(os, g.name);
     os << ",\"line\":" << g.line << ",\"ext\":" << (g.is_extern ? 1 : 0)
        << '}';
   }
@@ -70,29 +55,29 @@ std::string render(const FilePhase1& a) {
     const dataflow::FunctionSummary& fn = a.summary.functions[i];
     if (i > 0) os << ',';
     os << "{\"name\":";
-    esc(os, fn.name);
+    append_json_string(os, fn.name);
     os << ",\"file\":";
-    esc(os, fn.file);
+    append_json_string(os, fn.file);
     os << ",\"line\":" << fn.line << ",\"params\":[";
     for (std::size_t k = 0; k < fn.param_names.size(); ++k) {
       if (k > 0) os << ',';
-      esc(os, fn.param_names[k]);
+      append_json_string(os, fn.param_names[k]);
     }
     os << "],\"locals\":[";
     for (std::size_t k = 0; k < fn.local_allocs.size(); ++k) {
       if (k > 0) os << ',';
-      esc(os, fn.local_allocs[k]);
+      append_json_string(os, fn.local_allocs[k]);
     }
     os << "],\"calls\":[";
     for (std::size_t k = 0; k < fn.calls.size(); ++k) {
       const dataflow::Call& c = fn.calls[k];
       if (k > 0) os << ',';
       os << "{\"callee\":";
-      esc(os, c.callee);
+      append_json_string(os, c.callee);
       os << ",\"line\":" << c.line << ",\"args\":[";
       for (std::size_t m = 0; m < c.args.size(); ++m) {
         if (m > 0) os << ',';
-        esc(os, c.args[m]);
+        append_json_string(os, c.args[m]);
       }
       os << "],\"par\":" << (c.parallel ? 1 : 0)
          << ",\"guard\":" << (c.guarded ? 1 : 0)
@@ -108,7 +93,7 @@ std::string render(const FilePhase1& a) {
       if (k > 0) os << ',';
       os << "{\"target\":" << static_cast<int>(e.target)
          << ",\"param\":" << e.param << ",\"symbol\":";
-      esc(os, e.symbol);
+      append_json_string(os, e.symbol);
       os << ",\"kind\":" << static_cast<int>(e.kind)
          << ",\"par\":" << (e.parallel ? 1 : 0)
          << ",\"guard\":" << (e.guarded ? 1 : 0)
@@ -117,9 +102,9 @@ std::string render(const FilePhase1& a) {
          << ",\"sched\":" << static_cast<int>(e.sched)
          << ",\"chunk\":" << e.chunk << ",\"blocked\":" << (e.blocked ? 1 : 0)
          << ",\"file\":";
-      esc(os, e.file);
+      append_json_string(os, e.file);
       os << ",\"line\":" << e.line << ",\"fn\":";
-      esc(os, e.touch_fn);
+      append_json_string(os, e.touch_fn);
       os << ",\"order\":";
       write_order(os, e.order);
       os << ",\"chain\":[";
@@ -127,9 +112,9 @@ std::string render(const FilePhase1& a) {
         const dataflow::Hop& h = e.chain[m];
         if (m > 0) os << ',';
         os << "{\"callee\":";
-        esc(os, h.callee);
+        append_json_string(os, h.callee);
         os << ",\"file\":";
-        esc(os, h.file);
+        append_json_string(os, h.file);
         os << ",\"line\":" << h.line << '}';
       }
       os << "]}";

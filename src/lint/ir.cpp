@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <set>
 
-#include "lint/lexer.hpp"
+#include "lint/tokens.hpp"
 
 namespace numaprof::lint::ir {
 
@@ -43,17 +43,6 @@ std::pair<int, std::size_t> Function::order_of(int block,
 }
 
 namespace {
-
-bool thread_id_name(const std::string& s) {
-  return s == "tid" || s == "index" || s == "thread_id" || s == "thread_num" ||
-         s == "rank" || s == "me" || s == "worker";
-}
-
-bool known_linear_call(const std::string& s) {
-  return s == "elem_addr" || s == "block_slice" || s == "min" || s == "max" ||
-         s == "size" || s == "begin" || s == "end" || s == "data" ||
-         s == "sizeof";
-}
 
 bool is_keyword(const std::string& s) {
   static const std::set<std::string> kw = {
@@ -94,14 +83,6 @@ bool is_blocked_callee(const std::string& s) {
          blocked.count(s) > 0;
 }
 
-bool is_assign_op(const Token& t) {
-  if (t.kind != TokKind::kPunct) return false;
-  const std::string& s = t.text;
-  return s == "=" || s == "+=" || s == "-=" || s == "*=" || s == "/=" ||
-         s == "%=" || s == "&=" || s == "|=" || s == "^=" || s == "<<=" ||
-         s == ">>=";
-}
-
 int to_int(const std::string& s) {
   return static_cast<int>(std::strtol(s.c_str(), nullptr, 0));
 }
@@ -126,13 +107,10 @@ struct Region {
   std::string loop_var;
 };
 
-class IrBuilder {
+class IrBuilder : private TokenView {
  public:
-  IrBuilder(std::string_view source, std::string file) {
+  IrBuilder(const TokenFile& tokens, std::string file) : TokenView(tokens) {
     ir_.file = std::move(file);
-    LexResult lexed = lex(source);
-    toks_ = std::move(lexed.tokens);
-    build_matches();
   }
 
   FileIr build() {
@@ -144,144 +122,6 @@ class IrBuilder {
   }
 
  private:
-  // -- token utilities --------------------------------------------------
-
-  std::size_t n() const { return toks_.size(); }
-  const Token& tok(std::size_t i) const { return toks_[i]; }
-  bool valid(std::size_t i) const { return i < toks_.size(); }
-
-  void build_matches() {
-    match_.assign(n(), SIZE_MAX);
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (tok(i).kind != TokKind::kPunct) continue;
-      const std::string& t = tok(i).text;
-      if (t == "(" || t == "{" || t == "[") {
-        stack.push_back(i);
-      } else if (t == ")" || t == "}" || t == "]") {
-        const char open = t == ")" ? '(' : (t == "}" ? '{' : '[');
-        while (!stack.empty() && tok(stack.back()).text[0] != open) {
-          stack.pop_back();
-        }
-        if (!stack.empty()) {
-          match_[stack.back()] = i;
-          match_[i] = stack.back();
-          stack.pop_back();
-        }
-      }
-    }
-  }
-
-  std::size_t matching(std::size_t i) const {
-    return match_[i] == SIZE_MAX ? n() : match_[i];
-  }
-
-  struct Chain {
-    std::string text;
-    std::string first;
-    std::size_t end = 0;
-  };
-
-  /// ident ('::'|'.'|'->' ident | '[...]' -> "[]")*
-  Chain read_chain(std::size_t i) const {
-    Chain c;
-    if (!valid(i) || tok(i).kind != TokKind::kIdent) {
-      c.end = i;
-      return c;
-    }
-    c.first = tok(i).text;
-    c.text = tok(i).text;
-    std::size_t p = i + 1;
-    while (valid(p)) {
-      const std::string& t = tok(p).text;
-      if (tok(p).kind == TokKind::kPunct &&
-          (t == "." || t == "->" || t == "::") && valid(p + 1) &&
-          tok(p + 1).kind == TokKind::kIdent) {
-        c.text += (t == "::") ? "::" : ".";
-        c.text += tok(p + 1).text;
-        p += 2;
-        continue;
-      }
-      if (tok(p).is_punct("[") && matching(p) < n()) {
-        c.text += "[]";
-        p = matching(p) + 1;
-        continue;
-      }
-      break;
-    }
-    c.end = p;
-    return c;
-  }
-
-  std::vector<std::pair<std::size_t, std::size_t>> split_args(
-      std::size_t open) const {
-    std::vector<std::pair<std::size_t, std::size_t>> args;
-    const std::size_t close = matching(open);
-    if (close >= n()) return args;
-    std::size_t start = open + 1;
-    std::size_t depth = 0;
-    for (std::size_t i = open + 1; i < close; ++i) {
-      const std::string& t = tok(i).text;
-      if (tok(i).kind == TokKind::kPunct) {
-        if (t == "(" || t == "[" || t == "{") ++depth;
-        if (t == ")" || t == "]" || t == "}") --depth;
-        if (t == "," && depth == 0) {
-          args.emplace_back(start, i);
-          start = i + 1;
-        }
-      }
-    }
-    if (start < close || close > open + 1) args.emplace_back(start, close);
-    return args;
-  }
-
-  std::size_t stmt_start(std::size_t i) const {
-    while (i > 0) {
-      const Token& t = tok(i - 1);
-      if (t.is_punct(";") || t.is_punct("{") || t.is_punct("}")) break;
-      --i;
-    }
-    return i;
-  }
-
-  /// Base identifier of the chain ending at token `e`, or SIZE_MAX.
-  std::size_t chain_base_before(std::size_t e) const {
-    if (!valid(e)) return SIZE_MAX;
-    std::size_t i = e;
-    int guard = 0;
-    while (guard++ < 64) {
-      const Token& t = tok(i);
-      if (t.is_punct("]") && match_[i] != SIZE_MAX && match_[i] < i) {
-        i = match_[i];
-        if (i == 0) return SIZE_MAX;
-        --i;
-        continue;
-      }
-      if (t.kind == TokKind::kIdent) {
-        if (i == 0) return 0;
-        const Token& prev = tok(i - 1);
-        if (prev.is_punct(".") || prev.is_punct("->") || prev.is_punct("::")) {
-          if (i < 2) return SIZE_MAX;
-          i -= 2;
-          continue;
-        }
-        return i;
-      }
-      return SIZE_MAX;
-    }
-    return SIZE_MAX;
-  }
-
-  /// The '=' that assigns the statement's lvalue before `i`, or SIZE_MAX.
-  std::size_t assignment_before(std::size_t i) const {
-    const std::size_t s = stmt_start(i);
-    std::size_t eq = SIZE_MAX;
-    for (std::size_t k = s; k < i; ++k) {
-      if (tok(k).is_punct("=")) eq = k;
-    }
-    return eq;
-  }
-
   /// Token range of the construct starting at `p`: a brace block or a
   /// single statement (used for pragma bodies and guard bodies).
   std::pair<std::size_t, std::size_t> construct_range(std::size_t p) const {
@@ -411,28 +251,18 @@ class IrBuilder {
     }
   }
 
-  /// Simulator DSL: parallel_region(machine, COUNT, "name", base, lambda)
-  /// and parallel_for(..., sched, chunk, body).
+  /// Simulator DSL regions, scanned once per file by the token front end;
+  /// the explicit schedule comes from the non-body arguments.
   void collect_dsl_regions() {
-    for (std::size_t i = 0; i + 1 < n(); ++i) {
-      if (!(tok(i).is_ident("parallel_region") ||
-            tok(i).is_ident("parallel_for")) ||
-          !tok(i + 1).is_punct("(")) {
-        continue;
-      }
-      const auto args = split_args(i + 1);
-      if (args.size() < 3) continue;
+    for (const DslRegion& d : dsl_regions()) {
+      if (d.begin >= d.end) continue;
       Region r;
-      const auto [cb, ce] = args[1];
-      r.parallel = !(ce == cb + 1 && tok(cb).kind == TokKind::kNumber &&
-                     tok(cb).text == "1");
-      std::string count_last;
-      for (std::size_t k = cb; k < ce; ++k) {
-        if (tok(k).kind == TokKind::kIdent) count_last = tok(k).text;
-      }
-      // Explicit schedule idents in the non-body arguments.
-      for (std::size_t a = 2; a + 1 < args.size(); ++a) {
-        for (std::size_t k = args[a].first; k < args[a].second; ++k) {
+      r.parallel = d.parallel;
+      r.begin = d.begin;
+      r.end = d.end;
+      r.blocked = d.blocked;
+      for (std::size_t a = 2; a + 1 < d.args.size(); ++a) {
+        for (std::size_t k = d.args[a].first; k < d.args[a].second; ++k) {
           if (tok(k).kind != TokKind::kIdent) continue;
           const std::string& w = tok(k).text;
           if (w == "dynamic" || w == "kDynamic" || w == "guided") {
@@ -444,36 +274,9 @@ class IrBuilder {
           }
         }
       }
-      // Body: first '{' inside the last argument.
-      const auto [lb, le] = args.back();
-      for (std::size_t k = lb; k < le; ++k) {
-        if (tok(k).is_punct("{") && matching(k) < n()) {
-          r.begin = k + 1;
-          r.end = matching(k);
-          break;
-        }
-      }
-      if (r.begin == 0 || r.begin >= r.end) continue;
-      bool round_robin = false;
-      for (std::size_t k = r.begin; k < r.end; ++k) {
-        if (tok(k).is_ident("block_slice") || tok(k).is_ident("schedule")) {
-          r.blocked = true;
-        }
-        if (tok(k).is_punct("+=") && valid(k + 1)) {
-          Chain c = read_chain(k + 1);
-          std::string last = c.text;
-          const std::size_t dot = last.rfind('.');
-          if (dot != std::string::npos) last = last.substr(dot + 1);
-          if (!last.empty() &&
-              (last == count_last || last == "threads" || last == "nthreads" ||
-               last == "num_threads")) {
-            round_robin = true;
-          }
-        }
-      }
       if (r.blocked && r.sched == Schedule::kNone) {
         r.sched = Schedule::kStaticBlock;
-      } else if (round_robin && !r.blocked) {
+      } else if (d.round_robin && !r.blocked) {
         r.sched = Schedule::kStaticChunk;
         r.chunk = 1;
         r.blocked = true;
@@ -521,20 +324,14 @@ class IrBuilder {
 
   Ctx ctx_at(std::size_t pos) const {
     Ctx c;
-    const Region* best = nullptr;
-    std::size_t best_span = SIZE_MAX;
-    for (const Region& r : regions_) {
-      if (r.begin <= pos && pos < r.end && r.end - r.begin < best_span) {
-        best = &r;
-        best_span = r.end - r.begin;
-      }
-    }
-    if (best != nullptr && best->parallel) {
+    const int r = innermost(regions_, pos);
+    if (r >= 0 && regions_[static_cast<std::size_t>(r)].parallel) {
+      const Region& best = regions_[static_cast<std::size_t>(r)];
       c.parallel = true;
-      c.sched = best->sched;
-      c.chunk = best->chunk;
-      c.blocked = best->blocked;
-      c.loop_var = best->loop_var;
+      c.sched = best.sched;
+      c.chunk = best.chunk;
+      c.blocked = best.blocked;
+      c.loop_var = best.loop_var;
     }
     for (const auto& [gb, ge] : guards_) {
       if (gb <= pos && pos < ge) c.guarded = true;
@@ -544,40 +341,6 @@ class IrBuilder {
 
   // -- globals ----------------------------------------------------------
 
-  char brace_kind(std::size_t open) const {
-    if (open > 0 && tok(open - 1).is_punct(")")) return 'c';
-    if (open > 0 && (tok(open - 1).is_ident("else") ||
-                     tok(open - 1).is_ident("do") ||
-                     tok(open - 1).is_ident("try"))) {
-      return 'c';
-    }
-    for (std::size_t k = stmt_start(open); k < open; ++k) {
-      if (tok(k).is_ident("namespace")) return 'n';
-      if (tok(k).is_ident("struct") || tok(k).is_ident("class") ||
-          tok(k).is_ident("union") || tok(k).is_ident("enum")) {
-        return 's';
-      }
-    }
-    return 'i';
-  }
-
-  /// Skips a '#' directive line (with `\` continuations).
-  std::size_t skip_directive(std::size_t i) const {
-    std::uint32_t line = tok(i).line;
-    ++i;
-    while (valid(i)) {
-      if (tok(i).line != line) {
-        break;
-      }
-      if (tok(i).is_punct("\\") && valid(i + 1) &&
-          tok(i + 1).line == line + 1) {
-        ++line;
-      }
-      ++i;
-    }
-    return i;
-  }
-
   void collect_globals() {
     std::size_t i = 0;
     int guard = 0;
@@ -585,7 +348,7 @@ class IrBuilder {
     while (i < n() && guard++ < max_iter) {
       const Token& t = tok(i);
       if (t.is_punct("#")) {
-        i = skip_directive(i);
+        i = directive_end(i);
         continue;
       }
       if (t.is_punct("{")) {
@@ -789,7 +552,7 @@ class IrBuilder {
   // -- CFG --------------------------------------------------------------
 
   struct Interval {
-    std::size_t b = 0, e = 0;
+    std::size_t begin = 0, end = 0;
     int block = 0;
   };
 
@@ -962,15 +725,8 @@ class IrBuilder {
   }
 
   int block_at(std::size_t pos) const {
-    int best = 0;
-    std::size_t best_span = SIZE_MAX;
-    for (const Interval& iv : intervals_) {
-      if (iv.b <= pos && pos < iv.e && iv.e - iv.b < best_span) {
-        best = iv.block;
-        best_span = iv.e - iv.b;
-      }
-    }
-    return best;
+    const int iv = innermost(intervals_, pos);
+    return iv < 0 ? 0 : intervals_[static_cast<std::size_t>(iv)].block;
   }
 
   // -- body analysis ----------------------------------------------------
@@ -1074,7 +830,7 @@ class IrBuilder {
   void handle_alloc(Function& fn, std::size_t i) {
     const std::size_t eq = assignment_before(i);
     if (eq == SIZE_MAX || eq == 0) return;
-    const std::size_t base_at = chain_base_before(eq - 1);
+    const std::size_t base_at = chain_start(eq - 1);
     if (base_at == SIZE_MAX) return;
     const std::string& base = tok(base_at).text;
     std::string root = resolve(fn, base);
@@ -1155,14 +911,7 @@ class IrBuilder {
     const bool indexed = c.text.find("[]") != std::string::npos;
     const bool membered = c.text.find('.') != std::string::npos;
     if (!deref && !indexed && !membered) return;
-    bool write = false;
-    if (valid(c.end)) {
-      const Token& a = tok(c.end);
-      write = is_assign_op(a) || a.is_punct("++") || a.is_punct("--");
-    }
-    if (i > 0 && (tok(i - 1).is_punct("++") || tok(i - 1).is_punct("--"))) {
-      write = true;
-    }
+    const bool write = written(i, c.end);
     bool full = false;
     if (indexed) {
       for (std::size_t k = i + 1; k < c.end && k < n(); ++k) {
@@ -1276,8 +1025,6 @@ class IrBuilder {
     }
   }
 
-  std::vector<Token> toks_;
-  std::vector<std::size_t> match_;
   std::vector<Region> regions_;
   std::vector<std::pair<std::size_t, std::size_t>> guards_;
   std::vector<Interval> intervals_;
@@ -1287,8 +1034,12 @@ class IrBuilder {
 
 }  // namespace
 
+FileIr build_ir(const TokenFile& tokens, std::string file) {
+  return IrBuilder(tokens, std::move(file)).build();
+}
+
 FileIr build_ir(std::string_view source, std::string file) {
-  return IrBuilder(source, std::move(file)).build();
+  return build_ir(TokenFile(source), std::move(file));
 }
 
 }  // namespace numaprof::lint::ir

@@ -2,8 +2,8 @@
 //
 // The L1-L4 recognizer (numalint.cpp) works on token shapes within one
 // translation unit; anything split across a function or file boundary is
-// invisible to it. This layer parses the same token stream into a small
-// whole-program-ready IR instead: per file, the functions it defines
+// invisible to it. This layer builds a small whole-program-ready IR from
+// the same TokenFile (lint/tokens.hpp): per file, the functions it defines
 // (with parameters), the globals it declares, and per function the
 // allocations, pointer aliases, call sites, and reads/writes of named
 // symbols — each access annotated with its parallel context (region,
@@ -18,6 +18,10 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+namespace numaprof::lint {
+struct TokenFile;
+}
 
 namespace numaprof::lint::ir {
 
@@ -124,8 +128,11 @@ struct FileIr {
   std::vector<Global> globals;
 };
 
-/// Parses one translation unit into the IR. Never throws on malformed
+/// Builds the IR of one lexed translation unit. Never throws on malformed
 /// input; unrecognized constructs simply contribute nothing.
+FileIr build_ir(const TokenFile& tokens, std::string file);
+
+/// Lexes `source`, then builds its IR as above.
 FileIr build_ir(std::string_view source, std::string file);
 
 }  // namespace numaprof::lint::ir

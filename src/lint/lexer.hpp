@@ -2,10 +2,11 @@
 //
 // Produces a flat token stream with line numbers: identifiers, literals,
 // and (multi-char aware) punctuation. Comments vanish; preprocessor
-// directives stay in the stream ('#' is a punct token) so the recognizer
-// can see `#pragma omp parallel`. This is deliberately NOT a full C++
-// front end — the recognizer (numalint.cpp) works on token shapes, which
-// is all the antipattern catalog needs.
+// directives stay in the stream ('#' is a punct token) so the engines can
+// see `#pragma omp parallel`. This is deliberately NOT a full C++ front
+// end — both lint engines work on token shapes, which is all the
+// antipattern catalog needs, and lex each file once through TokenFile
+// (lint/tokens.hpp).
 #pragma once
 
 #include <cstdint>

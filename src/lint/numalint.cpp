@@ -7,10 +7,11 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "lint/cache.hpp"
 #include "lint/ir.hpp"
-#include "lint/lexer.hpp"
+#include "lint/tokens.hpp"
 #include "support/threadpool.hpp"
 
 namespace numaprof::lint {
@@ -75,7 +76,6 @@ struct RegionInfo {
   std::size_t begin = 0, end = 0;  // body token range
   bool blocked = false;            // partitions with block_slice / chunks
   bool round_robin = false;        // strided by the thread count
-  std::string count_last;          // trailing ident of the count expression
 };
 
 struct IfBlock {
@@ -107,11 +107,6 @@ struct Access {
   bool per_thread = false;      // element selected by a thread id
 };
 
-struct BraceInfo {
-  std::size_t open = 0, close = 0;
-  char kind = 'i';  // 'n' namespace, 's' struct, 'c' code, 'i' initializer
-};
-
 const std::set<std::string>& type_keywords() {
   static const std::set<std::string> kw = {
       "return", "case",   "co_return", "co_await", "delete", "sizeof",
@@ -133,36 +128,21 @@ std::uint32_t primitive_size(const std::string& t) {
   return 0;
 }
 
-bool thread_id_name(const std::string& s) {
-  return s == "tid" || s == "index" || s == "thread_id" || s == "thread_num" ||
-         s == "rank" || s == "me" || s == "worker";
-}
-
-// Calls that keep an index expression "direct" (linear / known helpers).
-bool known_linear_call(const std::string& s) {
-  return s == "elem_addr" || s == "block_slice" || s == "min" || s == "max" ||
-         s == "size" || s == "begin" || s == "end" || s == "data" ||
-         s == "to_string" || s == "sizeof";
-}
-
 // ---------------------------------------------------------------------
 // Per-file analyzer
 // ---------------------------------------------------------------------
 
-class FileAnalyzer {
+class FileAnalyzer : private TokenView {
  public:
-  FileAnalyzer(std::string_view source, std::string file)
-      : file_(std::move(file)) {
-    LexResult lexed = lex(source);
-    toks_ = std::move(lexed.tokens);
+  FileAnalyzer(const TokenFile& tokens, std::string file)
+      : TokenView(tokens), file_(std::move(file)) {
     stats_.files = 1;
-    stats_.lines = lexed.lines;
-    stats_.tokens = toks_.size();
+    stats_.lines = tokens.lines;
+    stats_.tokens = tokens.tokens.size();
   }
 
   LintResult run() {
-    build_matches();
-    classify_braces();
+    collect_code_braces();
     collect_structs();
     collect_lambdas();
     collect_policies();
@@ -173,170 +153,39 @@ class FileAnalyzer {
     collect_vars();
     collect_accesses();
     emit();
-    std::sort(findings_.begin(), findings_.end(),
-              [](const StaticFinding& a, const StaticFinding& b) {
-                if (a.file != b.file) return a.file < b.file;
-                if (a.line != b.line) return a.line < b.line;
-                if (a.variable != b.variable) return a.variable < b.variable;
-                return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-              });
+    dataflow::sort_findings(findings_);
     return {std::move(findings_), stats_};
   }
 
  private:
   // -- token utilities -------------------------------------------------
 
-  std::size_t n() const { return toks_.size(); }
-  const Token& tok(std::size_t i) const { return toks_[i]; }
-  bool valid(std::size_t i) const { return i < toks_.size(); }
-
-  void build_matches() {
-    match_.assign(n(), SIZE_MAX);
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (tok(i).kind != TokKind::kPunct) continue;
-      const std::string& t = tok(i).text;
-      if (t == "(" || t == "{" || t == "[") {
-        stack.push_back(i);
-      } else if (t == ")" || t == "}" || t == "]") {
-        // Tolerate imbalance: pop until an opener of the right shape.
-        const char open = t == ")" ? '(' : (t == "}" ? '{' : '[');
-        while (!stack.empty() && tok(stack.back()).text[0] != open) {
-          stack.pop_back();
-        }
-        if (!stack.empty()) {
-          match_[stack.back()] = i;
-          match_[i] = stack.back();
-          stack.pop_back();
-        }
-      }
-    }
-  }
-
-  std::size_t matching(std::size_t i) const {
-    return match_[i] == SIZE_MAX ? n() : match_[i];
-  }
-
-  /// Canonical forward chain starting at an identifier:
-  /// ident ('::'|'.'|'->' ident | '[...]' -> "[]")*. Returns the canonical
-  /// text, the trailing identifier, and one past the last consumed token.
-  struct Chain {
-    std::string text;
-    std::string first;
-    std::string last;
-    std::size_t end = 0;
-  };
-
-  Chain read_chain(std::size_t i) const {
-    Chain c;
-    if (!valid(i) || tok(i).kind != TokKind::kIdent) {
-      c.end = i;
-      return c;
-    }
-    c.first = c.last = tok(i).text;
-    c.text = tok(i).text;
-    std::size_t p = i + 1;
-    while (valid(p)) {
-      const std::string& t = tok(p).text;
-      if (tok(p).kind == TokKind::kPunct &&
-          (t == "." || t == "->" || t == "::") && valid(p + 1) &&
-          tok(p + 1).kind == TokKind::kIdent) {
-        c.text += (t == "::") ? "::" : ".";
-        c.text += tok(p + 1).text;
-        c.last = tok(p + 1).text;
-        p += 2;
-        continue;
-      }
-      if (tok(p).is_punct("[") && matching(p) < n()) {
-        c.text += "[]";
-        p = matching(p) + 1;
-        continue;
-      }
-      break;
-    }
-    c.end = p;
-    return c;
-  }
-
-  /// Reads a chain that ENDS at token `e` (inclusive), walking backwards.
-  /// Returns the start index, canonical text, and whether a unary '*'
+  /// A chain that ENDS at token `e` (inclusive), and whether a unary '*'
   /// deref precedes it at statement position.
   struct BackChain {
     std::string text;
-    std::string first;
     std::string last;
-    std::size_t start = SIZE_MAX;
     bool deref = false;
     bool ok = false;
   };
 
   BackChain read_chain_back(std::size_t e) const {
     BackChain bc;
-    if (!valid(e)) return bc;
-    std::size_t i = e;
-    // Walk back over chain constituents.
-    while (true) {
-      const Token& t = tok(i);
-      if (t.is_punct("]") && matching(i) < n() && matching(i) < i) {
-        i = matching(i);
-        if (i == 0) break;
-        --i;
-        continue;
-      }
-      if (t.kind == TokKind::kIdent) {
-        if (i == 0) {
-          bc.start = 0;
-          break;
-        }
-        const Token& prev = tok(i - 1);
-        if (prev.is_punct(".") || prev.is_punct("->") || prev.is_punct("::")) {
-          i -= 2;
-          continue;
-        }
-        bc.start = i;
-        break;
-      }
-      return bc;  // not a chain
-    }
-    if (bc.start == SIZE_MAX) return bc;
-    Chain fwd = read_chain(bc.start);
+    const std::size_t start = chain_start(e);
+    if (start == SIZE_MAX) return bc;
+    Chain fwd = read_chain(start);
     if (fwd.end <= e) return bc;  // didn't reach the anchor; reject
-    bc.text = fwd.text;
-    bc.first = fwd.first;
-    bc.last = fwd.last;
+    bc.text = std::move(fwd.text);
+    bc.last = std::move(fwd.last);
     bc.ok = true;
-    if (bc.start > 0 && tok(bc.start - 1).is_punct("*")) {
-      const std::size_t s = bc.start - 1;
+    if (start > 0 && tok(start - 1).is_punct("*")) {
+      const std::size_t s = start - 1;
       if (s == 0 || tok(s - 1).is_punct(";") || tok(s - 1).is_punct("{") ||
           tok(s - 1).is_punct("}") || tok(s - 1).is_punct("(")) {
         bc.deref = true;
       }
     }
     return bc;
-  }
-
-  /// Splits the argument list of a call whose '(' is at `open` into
-  /// depth-1 comma-separated token ranges [begin, end).
-  std::vector<std::pair<std::size_t, std::size_t>> split_args(
-      std::size_t open) const {
-    std::vector<std::pair<std::size_t, std::size_t>> args;
-    const std::size_t close = matching(open);
-    if (close >= n()) return args;
-    std::size_t start = open + 1;
-    std::size_t depth = 0;
-    for (std::size_t i = open + 1; i < close; ++i) {
-      const std::string& t = tok(i).text;
-      if (tok(i).kind == TokKind::kPunct) {
-        if (t == "(" || t == "[" || t == "{") ++depth;
-        if (t == ")" || t == "]" || t == "}") --depth;
-        if (t == "," && depth == 0) {
-          args.emplace_back(start, i);
-          start = i + 1;
-        }
-      }
-    }
-    if (start < close || close > open + 1) args.emplace_back(start, close);
-    return args;
   }
 
   std::optional<std::string> first_string_in(std::size_t b,
@@ -347,49 +196,19 @@ class FileAnalyzer {
     return std::nullopt;
   }
 
-  /// Start of the statement containing `i` (one past the previous
-  /// ';', '{' or '}').
-  std::size_t stmt_start(std::size_t i) const {
-    while (i > 0) {
-      const Token& t = tok(i - 1);
-      if (t.is_punct(";") || t.is_punct("{") || t.is_punct("}")) break;
-      --i;
-    }
-    return i;
-  }
-
   // -- structural passes -----------------------------------------------
 
-  void classify_braces() {
+  void collect_code_braces() {
     for (std::size_t i = 0; i < n(); ++i) {
-      if (!tok(i).is_punct("{") || matching(i) >= n()) continue;
-      BraceInfo b;
-      b.open = i;
-      b.close = matching(i);
-      b.kind = 'i';
-      if (i > 0 && tok(i - 1).is_punct(")")) {
-        b.kind = 'c';  // function body or control-flow block
-      } else if (i > 0 && (tok(i - 1).is_ident("else") ||
-                           tok(i - 1).is_ident("do") ||
-                           tok(i - 1).is_ident("try"))) {
-        b.kind = 'c';
-      } else {
-        const std::size_t s = stmt_start(i);
-        for (std::size_t k = s; k < i; ++k) {
-          if (tok(k).is_ident("namespace")) b.kind = 'n';
-          if (tok(k).is_ident("struct") || tok(k).is_ident("class") ||
-              tok(k).is_ident("union") || tok(k).is_ident("enum")) {
-            b.kind = 's';
-          }
-        }
+      if (tok(i).is_punct("{") && matching(i) < n() && brace_kind(i) == 'c') {
+        code_braces_.emplace_back(i, matching(i));
       }
-      braces_.push_back(b);
     }
   }
 
   bool in_function(std::size_t i) const {
-    for (const BraceInfo& b : braces_) {
-      if (b.kind == 'c' && b.open < i && i < b.close) return true;
+    for (const auto& [open, close] : code_braces_) {
+      if (open < i && i < close) return true;
     }
     return false;
   }
@@ -678,36 +497,18 @@ class FileAnalyzer {
   }
 
   void collect_regions() {
-    // DSL: parallel_region(machine, COUNT, "name", base, <lambda>) and
-    //      parallel_for(machine, COUNT, "name", base, total, sched, chunk, body)
-    for (std::size_t i = 0; i + 1 < n(); ++i) {
-      const bool pr = tok(i).is_ident("parallel_region");
-      const bool pf = tok(i).is_ident("parallel_for");
-      if ((!pr && !pf) || !tok(i + 1).is_punct("(")) continue;
-      const auto args = split_args(i + 1);
-      if (args.size() < 3) continue;
+    for (const DslRegion& d : dsl_regions()) {
       RegionInfo r;
-      r.line = tok(i).line;
-      const auto [cb, ce] = args[1];
-      r.parallel = !(ce == cb + 1 && tok(cb).kind == TokKind::kNumber &&
-                     tok(cb).text == "1");
-      for (std::size_t k = cb; k < ce; ++k) {
-        if (tok(k).kind == TokKind::kIdent) r.count_last = tok(k).text;
-      }
-      if (auto s = first_string_in(args[0].first, matching(i + 1))) {
+      r.line = tok(d.call).line;
+      r.parallel = d.parallel;
+      if (auto s = first_string_in(d.args[0].first, matching(d.call + 1))) {
         r.name = *s;
       }
-      // Body: first '{' inside the last argument.
-      const auto [lb, le] = args.back();
-      for (std::size_t k = lb; k < le; ++k) {
-        if (tok(k).is_punct("{") && matching(k) < n()) {
-          r.begin = k + 1;
-          r.end = matching(k);
-          break;
-        }
-      }
-      if (r.begin == 0) continue;
-      finish_region(r);
+      r.begin = d.begin;
+      r.end = d.end;
+      r.blocked = d.blocked;
+      r.round_robin = d.round_robin;
+      regions_.push_back(std::move(r));
     }
     // OpenMP: #pragma omp parallel [for] ...
     for (std::size_t i = 0; i + 2 < n(); ++i) {
@@ -716,32 +517,22 @@ class FileAnalyzer {
         continue;
       }
       const std::uint32_t line = tok(i).line;
-      std::size_t p = i + 3;
       bool parallel = false;
       bool serial_override = false;
       std::string name = "omp";
-      std::uint32_t cur_line = line;
-      while (valid(p) && tok(p).line == cur_line) {
-        // Backslash continuation: the directive extends onto the next line.
-        if (tok(p).is_punct("\\") && valid(p + 1) &&
-            tok(p + 1).line == cur_line + 1) {
-          ++cur_line;
-          ++p;
-          continue;
+      std::size_t p = i + 3;
+      for (const std::size_t end = directive_end(i); p < end; ++p) {
+        if (tok(p).kind != TokKind::kIdent) continue;
+        name += " " + tok(p).text;
+        if (tok(p).text == "parallel") parallel = true;
+        if (tok(p).text == "single" || tok(p).text == "master" ||
+            tok(p).text == "critical") {
+          serial_override = true;
         }
-        if (tok(p).kind == TokKind::kIdent) {
-          name += " " + tok(p).text;
-          if (tok(p).text == "parallel") parallel = true;
-          if (tok(p).text == "single" || tok(p).text == "master" ||
-              tok(p).text == "critical") {
-            serial_override = true;
-          }
-          if (tok(p).text == "num_threads" && valid(p + 2) &&
-              tok(p + 1).is_punct("(") && tok(p + 2).text == "1") {
-            serial_override = true;
-          }
+        if (tok(p).text == "num_threads" && valid(p + 2) &&
+            tok(p + 1).is_punct("(") && tok(p + 2).text == "1") {
+          serial_override = true;
         }
-        ++p;
       }
       if (!parallel || serial_override || !valid(p)) continue;
       RegionInfo r;
@@ -767,44 +558,13 @@ class FileAnalyzer {
         continue;
       }
       if (r.end >= n()) continue;
-      finish_region(r);
+      std::tie(r.blocked, r.round_robin) = partitioning(r.begin, r.end, {});
+      regions_.push_back(std::move(r));
     }
     std::sort(regions_.begin(), regions_.end(),
               [](const RegionInfo& a, const RegionInfo& b) {
                 return a.begin < b.begin;
               });
-  }
-
-  void finish_region(RegionInfo& r) {
-    for (std::size_t k = r.begin; k < r.end; ++k) {
-      if (tok(k).is_ident("block_slice") || tok(k).is_ident("schedule")) {
-        r.blocked = true;
-      }
-      if (tok(k).is_punct("+=") && valid(k + 1)) {
-        Chain c = read_chain(k + 1);
-        if (!c.last.empty() &&
-            (c.last == r.count_last || c.last == "threads" ||
-             c.last == "nthreads" || c.last == "num_threads")) {
-          r.round_robin = true;
-        }
-      }
-    }
-    regions_.push_back(r);
-  }
-
-  int region_of(std::size_t i) const {
-    int best = -1;
-    std::size_t best_span = SIZE_MAX;
-    for (std::size_t r = 0; r < regions_.size(); ++r) {
-      if (regions_[r].begin <= i && i < regions_[r].end) {
-        const std::size_t span = regions_[r].end - regions_[r].begin;
-        if (span < best_span) {
-          best = static_cast<int>(r);
-          best_span = span;
-        }
-      }
-    }
-    return best;
   }
 
   // -- guard analysis ---------------------------------------------------
@@ -830,7 +590,7 @@ class FileAnalyzer {
       const bool negated = i > 0 && tok(i - 1).is_punct("!");
       Chain c = read_chain(i);
       // Thread guard: <tid-ish> == 0 (or t.tid() == 0).
-      if ((thread_id_name(c.last) || c.last == "tid") && c.end + 1 < n() &&
+      if (thread_id_name(c.last) && c.end + 1 < n() &&
           tok(c.end).is_punct("==") && tok(c.end + 1).text == "0") {
         g.thread_guarded = true;
       }
@@ -990,16 +750,6 @@ class FileAnalyzer {
       by_last_[vars_[v].last].push_back(static_cast<int>(v));
       by_lvalue_[vars_[v].lvalue] = static_cast<int>(v);
     }
-  }
-
-  /// The '=' that assigns the statement's lvalue, or SIZE_MAX.
-  std::size_t assignment_before(std::size_t i) const {
-    const std::size_t s = stmt_start(i);
-    std::size_t eq = SIZE_MAX;
-    for (std::size_t k = s; k < i; ++k) {
-      if (tok(k).is_punct("=")) eq = k;
-    }
-    return eq;
   }
 
   void collect_malloc(std::size_t i, bool member_call) {
@@ -1274,7 +1024,7 @@ class FileAnalyzer {
 
   void add_access(const std::vector<int>& vars, bool write, std::size_t at,
                   const Guards& guards, const IndexShape& shape) {
-    const int region = region_of(at);
+    const int region = innermost(regions_, at);
     for (int v : vars) {
       Access a;
       a.var = v;
@@ -1346,18 +1096,8 @@ class FileAnalyzer {
                valid(p + 1) && tok(p + 1).kind == TokKind::kIdent) {
           p += 2;
         }
-        bool write = false;
-        if (valid(p) && tok(p).kind == TokKind::kPunct) {
-          const std::string& op = tok(p).text;
-          write = op == "=" || op == "+=" || op == "-=" || op == "*=" ||
-                  op == "/=" || op == "|=" || op == "&=" || op == "^=" ||
-                  op == "++" || op == "--";
-        }
-        if (i > 0 && (tok(i - 1).is_punct("++") || tok(i - 1).is_punct("--"))) {
-          write = true;
-        }
         const Guards g = guards_of(i);
-        add_access(vars, write, i, g, shape);
+        add_access(vars, written(i, p), i, g, shape);
       }
     }
   }
@@ -1592,9 +1332,7 @@ class FileAnalyzer {
   // -- state ------------------------------------------------------------
 
   std::string file_;
-  std::vector<Token> toks_;
-  std::vector<std::size_t> match_;
-  std::vector<BraceInfo> braces_;
+  std::vector<std::pair<std::size_t, std::size_t>> code_braces_;
   std::map<std::string, StructInfo> structs_;
   std::map<std::string, TableInfo> tables_;
   std::map<std::string, std::pair<std::size_t, std::size_t>> lambdas_;
@@ -1612,25 +1350,11 @@ class FileAnalyzer {
 
 }  // namespace
 
-namespace {
-
-void sort_findings(std::vector<StaticFinding>& findings) {
-  std::sort(findings.begin(), findings.end(),
-            [](const StaticFinding& a, const StaticFinding& b) {
-              if (a.file != b.file) return a.file < b.file;
-              if (a.line != b.line) return a.line < b.line;
-              if (a.variable != b.variable) return a.variable < b.variable;
-              return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-            });
-}
-
-}  // namespace
-
 FilePhase1 lint_file_phase1(std::string_view source, std::string file) {
+  const TokenFile tokens(source);
   FilePhase1 out;
-  FileAnalyzer analyzer(source, file);
-  out.local = analyzer.run();
-  out.summary = dataflow::summarize(ir::build_ir(source, std::move(file)));
+  out.local = FileAnalyzer(tokens, file).run();
+  out.summary = dataflow::summarize(ir::build_ir(tokens, std::move(file)));
   return out;
 }
 
@@ -1642,7 +1366,7 @@ LintResult lint_source(std::string_view source, std::string file) {
   out.findings.insert(out.findings.end(),
                       std::make_move_iterator(inter.begin()),
                       std::make_move_iterator(inter.end()));
-  sort_findings(out.findings);
+  dataflow::sort_findings(out.findings);
   return out;
 }
 
@@ -1739,7 +1463,7 @@ LintResult lint_paths(const std::vector<std::string>& paths,
   out.findings.insert(out.findings.end(),
                       std::make_move_iterator(inter.begin()),
                       std::make_move_iterator(inter.end()));
-  sort_findings(out.findings);
+  dataflow::sort_findings(out.findings);
   return out;
 }
 
@@ -1771,9 +1495,7 @@ std::string render_findings(const std::vector<StaticFinding>& findings) {
   return os.str();
 }
 
-namespace {
-
-void append_json_string(std::ostringstream& os, std::string_view s) {
+void append_json_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
     switch (c) {
@@ -1788,8 +1510,6 @@ void append_json_string(std::ostringstream& os, std::string_view s) {
   }
   os << '"';
 }
-
-}  // namespace
 
 std::string render_findings_json(const std::vector<StaticFinding>& findings) {
   std::ostringstream os;

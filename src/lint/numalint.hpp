@@ -1,8 +1,8 @@
 // numalint: a static NUMA-antipattern analyzer.
 //
-// Scans translation units with a lightweight lexer + declaration/loop/
-// parallel-region recognizer (no libclang) for the antipattern catalog of
-// docs/lint.md:
+// Lexes each translation unit once (lint/tokens.hpp, no libclang) and runs
+// two engines over the same tokens: a declaration/loop/parallel-region
+// recognizer for the per-TU antipattern catalog of docs/lint.md:
 //   L1 serial-first-touch   arrays initialized by serial code but consumed
 //                           inside parallel regions (the LULESH/AMG bug
 //                           class of §8.1/§8.2)
@@ -14,6 +14,9 @@
 //                           parallel access is block-local (the §8.1
 //                           POWER7 regression)
 //
+// and the interprocedural IR + dataflow engine (lint/ir.hpp,
+// lint/dataflow.hpp) for L5-L8.
+//
 // Two source idioms are recognized: real OpenMP-style C/C++ (`#pragma omp
 // parallel`, local arrays, malloc/new) and this repository's simulator
 // workload DSL (`parallel_region`, `t.malloc(size, "name", policy)`,
@@ -23,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,6 +102,11 @@ std::string_view kind_code(core::LintKind kind) noexcept;
 ///       expected <pattern>, suggest <action> (declared at line N)
 ///       <message>
 std::string render_findings(const std::vector<core::StaticFinding>& findings);
+
+/// Writes `s` as a JSON string literal: `"`, `\`, newline and tab
+/// escaped, other control bytes dropped. The one string encoding of every
+/// numalint JSON output (`--format json`, SARIF, baselines, cache entries).
+void append_json_string(std::ostream& os, std::string_view s);
 
 /// Machine-readable rendering (`--format json`): one JSON object per line
 /// with file/line/decl-line/variable/kind/code/expected/suggested/message.

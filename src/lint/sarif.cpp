@@ -10,21 +10,6 @@ namespace {
 
 using core::LintKind;
 
-void esc(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) os << c;
-    }
-  }
-  os << '"';
-}
-
 std::string_view rule_description(LintKind kind) noexcept {
   switch (kind) {
     case LintKind::kSerialFirstTouch:
@@ -95,15 +80,15 @@ std::string render_sarif(const std::vector<core::StaticFinding>& findings) {
     const auto kind = static_cast<LintKind>(k);
     if (k > 0) os << ',';
     os << "{\"id\":";
-    esc(os, kind_code(kind));
+    append_json_string(os, kind_code(kind));
     os << ",\"name\":";
-    esc(os, core::to_string(kind));
+    append_json_string(os, core::to_string(kind));
     os << ",\"shortDescription\":{\"text\":";
-    esc(os, core::to_string(kind));
+    append_json_string(os, core::to_string(kind));
     os << "},\"fullDescription\":{\"text\":";
-    esc(os, rule_description(kind));
+    append_json_string(os, rule_description(kind));
     os << "},\"defaultConfiguration\":{\"level\":";
-    esc(os, to_string(severity_of(kind)));
+    append_json_string(os, to_string(severity_of(kind)));
     os << "}}";
   }
   os << "]}},\"results\":[";
@@ -111,21 +96,21 @@ std::string render_sarif(const std::vector<core::StaticFinding>& findings) {
     const core::StaticFinding& f = findings[i];
     if (i > 0) os << ',';
     os << "{\"ruleId\":";
-    esc(os, kind_code(f.kind));
+    append_json_string(os, kind_code(f.kind));
     os << ",\"ruleIndex\":" << static_cast<int>(f.kind) << ",\"level\":";
-    esc(os, to_string(severity_of(f.kind)));
+    append_json_string(os, to_string(severity_of(f.kind)));
     os << ",\"message\":{\"text\":";
-    esc(os, f.message);
+    append_json_string(os, f.message);
     os << "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{"
           "\"uri\":";
-    esc(os, f.file);
+    append_json_string(os, f.file);
     os << "},\"region\":{\"startLine\":" << (f.line == 0 ? 1 : f.line)
        << "}}}],\"properties\":{\"variable\":";
-    esc(os, f.variable);
+    append_json_string(os, f.variable);
     os << ",\"declLine\":" << f.decl_line << ",\"expected\":";
-    esc(os, core::to_string(f.expected));
+    append_json_string(os, core::to_string(f.expected));
     os << ",\"suggested\":";
-    esc(os, core::to_string(f.suggested));
+    append_json_string(os, core::to_string(f.suggested));
     os << "}}";
   }
   os << "]}]}";

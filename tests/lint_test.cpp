@@ -8,6 +8,7 @@
 
 #include "lint/lexer.hpp"
 #include "lint/numalint.hpp"
+#include "lint/tokens.hpp"
 
 namespace numaprof::lint {
 namespace {
@@ -468,6 +469,85 @@ TEST(Lint, ContinuedPragmaStillOpensParallelRegion) {
   EXPECT_EQ(l1->variable, "table");
 }
 
+// --- shared token front end ----------------------------------------------
+
+TEST(Tokens, MatchingToleratesUnbalancedAndInvertedBrackets) {
+  // ')' pops the unclosed '[' and pairs with '('; the stray closers and
+  // the trailing opener have no partner.
+  const TokenFile file("( [ ) ] } {");
+  const TokenView v(file);
+  ASSERT_EQ(v.n(), 6u);
+  EXPECT_EQ(v.matching(0), 2u);
+  EXPECT_EQ(v.matching(2), 0u);
+  for (const std::size_t i : {1u, 3u, 4u, 5u}) EXPECT_EQ(v.matching(i), v.n());
+
+  const TokenFile inverted(") ( x");
+  const TokenView w(inverted);
+  EXPECT_EQ(w.matching(0), w.n());
+  EXPECT_EQ(w.matching(1), w.n());
+  EXPECT_EQ(w.matching(2), w.n());  // not a bracket
+}
+
+TEST(Tokens, ChainsReadForwardAndBackward) {
+  const TokenFile file("a.b[i]->c = 1;");
+  const TokenView v(file);
+  const Chain c = v.read_chain(0);
+  EXPECT_EQ(c.text, "a.b[].c");
+  EXPECT_EQ(c.first, "a");
+  EXPECT_EQ(c.last, "c");
+  EXPECT_EQ(c.end, 8u);  // the '='
+  EXPECT_EQ(v.chain_start(7), 0u);  // from 'c'
+  EXPECT_EQ(v.chain_start(5), 0u);  // from the subscript's ']'
+  EXPECT_EQ(v.chain_start(8), SIZE_MAX);  // '=' ends no chain
+  const Chain none = v.read_chain(8);
+  EXPECT_TRUE(none.text.empty());
+  EXPECT_EQ(none.end, 8u);
+}
+
+TEST(Tokens, ChainsAtTheFileStart) {
+  const TokenFile file("x.a = 1;");
+  EXPECT_EQ(TokenView(file).chain_start(0), 0u);
+  EXPECT_EQ(TokenView(file).chain_start(2), 0u);
+  for (const char* src : {"::a = {1};", ".a = 1;", "->a = 1;"}) {
+    const TokenFile f(src);
+    const TokenView v(f);
+    EXPECT_EQ(v.chain_start(1), SIZE_MAX) << src;
+    EXPECT_EQ(v.chain_start(0), SIZE_MAX) << src;
+    const Chain c = v.read_chain(1);
+    EXPECT_EQ(c.text, "a") << src;
+    EXPECT_EQ(c.end, 2u) << src;
+  }
+}
+
+TEST(Tokens, SplitArgsHonorsNestingAndEmptyLists) {
+  const TokenFile file("f(a, g(b, c), {d, e}, x[1], );");
+  const TokenView v(file);
+  const TokenRanges args = v.split_args(1);
+  ASSERT_EQ(args.size(), 5u);
+  EXPECT_EQ(args[0], std::make_pair(std::size_t{2}, std::size_t{3}));
+  EXPECT_EQ(v.tok(args[1].first).text, "g");
+  EXPECT_EQ(v.tok(args[1].second).text, ",");
+  EXPECT_EQ(v.tok(args[2].first).text, "{");
+  EXPECT_EQ(v.tok(args[3].first).text, "x");
+  EXPECT_EQ(args[4].first, args[4].second);  // the empty trailing argument
+
+  const TokenFile empty("f(); g(,); h(");
+  const TokenView e(empty);
+  EXPECT_TRUE(e.split_args(1).empty());
+  EXPECT_EQ(e.split_args(5).size(), 2u);
+  EXPECT_TRUE(e.split_args(10).empty());  // unmatched '('
+}
+
+TEST(Tokens, StatementStartAndAssignment) {
+  const TokenFile file("x = 1; { y = z = 2; }");
+  const TokenView v(file);
+  EXPECT_EQ(v.stmt_start(0), 0u);
+  EXPECT_EQ(v.stmt_start(2), 0u);
+  EXPECT_EQ(v.stmt_start(9), 5u);  // after the '{'
+  EXPECT_EQ(v.assignment_before(9), 8u);
+  EXPECT_EQ(v.assignment_before(0), SIZE_MAX);
+}
+
 TEST(Lint, GarbageInputNeverThrows) {
   EXPECT_NO_THROW(lint_source("", "empty.cpp"));
   EXPECT_NO_THROW(lint_source("{{{{((((", "unbalanced.cpp"));
@@ -475,6 +555,11 @@ TEST(Lint, GarbageInputNeverThrows) {
   EXPECT_NO_THROW(lint_source("#pragma omp parallel", "dangling.cpp"));
   EXPECT_NO_THROW(
       lint_source("int a[4]; void f() { a[0 = 1; }", "broken.cpp"));
+  // A chain link as the very first token: the backward chain walk from
+  // token 1 must stop at the file start instead of stepping before it.
+  EXPECT_NO_THROW(lint_source("::a = {1};", "scope_first.cpp"));
+  EXPECT_NO_THROW(lint_source(".a = [x]{ return 1; };", "dot_first.cpp"));
+  EXPECT_NO_THROW(lint_source("->a = {1};", "arrow_first.cpp"));
 }
 
 TEST(Lint, StatsCountFilesLinesTokens) {

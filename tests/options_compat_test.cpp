@@ -1,141 +1,21 @@
-// The consolidated option/error surface: deprecated MergeOptions /
-// AnalyzerOptions shims still compile and forward faithfully through
-// .pipeline(), the deprecated profile-I/O free functions still match
-// ProfileReader/ProfileWriter byte for byte, every typed failure shares
-// the numaprof::Error base (kind +
-// file/field/line) and the one format_error() formatter, and the shared
-// CliParser rejects unknown flags the way the CLIs promise.
+// The consolidated error and CLI surface: every typed failure shares the
+// numaprof::Error base (kind + file/field/line) and the one format_error()
+// formatter, and the shared CliParser rejects unknown flags the way the
+// CLIs promise.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
-#include "core/analyzer.hpp"
 #include "core/profile_io.hpp"
-#include "core/profiler.hpp"
 #include "lint/numalint.hpp"
-#include "numasim/topology.hpp"
 #include "support/cliflags.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
 
 namespace numaprof {
 namespace {
-
-namespace fs = std::filesystem;
-
-core::SessionData tiny_session() {
-  simrt::Machine machine(numasim::test_machine(2, 2));
-  core::ProfilerConfig cfg;
-  cfg.event = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
-  cfg.event.period = 10;
-  core::Profiler profiler(machine, cfg);
-  simrt::parallel_region(
-      machine, 2, "work", {},
-      [&](simrt::SimThread& t, std::uint32_t) -> simrt::Task {
-        const simos::VAddr data = t.malloc(simos::kPageBytes, "block");
-        for (std::uint64_t i = 0; i < simos::kPageBytes; i += 64) {
-          t.store(data + i);
-          co_await t.tick();
-        }
-      });
-  return profiler.snapshot();
-}
-
-TEST(PipelineOptionsCompat, MergeOptionsForwardsThroughPipeline) {
-  // The deprecated spellings must keep compiling (with a warning — which
-  // is exactly what this pragma scope silences) and mean the same thing.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  core::MergeOptions legacy;
-  legacy.jobs = 3;
-  legacy.min_quorum = 0.75;
-  legacy.load.lenient = true;
-  legacy.load.max_count = 4096;
-  const PipelineOptions mapped = legacy.pipeline();
-#pragma GCC diagnostic pop
-  EXPECT_EQ(mapped.jobs, 3u);
-  EXPECT_DOUBLE_EQ(mapped.quorum, 0.75);
-  EXPECT_TRUE(mapped.lenient);
-  EXPECT_EQ(mapped.max_count, 4096u);
-  EXPECT_EQ(mapped.pool, nullptr);
-  EXPECT_TRUE(mapped.lint_paths.empty());
-}
-
-TEST(PipelineOptionsCompat, AnalyzerOptionsForwardsThroughPipeline) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  core::AnalyzerOptions legacy;
-  legacy.jobs = 7;
-  const PipelineOptions mapped = legacy.pipeline();
-#pragma GCC diagnostic pop
-  EXPECT_EQ(mapped.jobs, 7u);
-  EXPECT_EQ(mapped.pool, nullptr);
-}
-
-TEST(PipelineOptionsCompat, DeprecatedOverloadsMatchPipelineOptionsResults) {
-  const core::SessionData data = tiny_session();
-  const fs::path path = fs::path(::testing::TempDir()) / "compat.prof";
-  core::ProfileWriter().write_file(data, path.string());
-
-  PipelineOptions options;
-  options.jobs = 2;
-  const core::Analyzer fresh(data, options);
-  const core::MergeResult merged_fresh =
-      core::merge_profile_files({path.string()}, options);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  core::AnalyzerOptions analyzer_legacy;
-  analyzer_legacy.jobs = 2;
-  const core::Analyzer shimmed(data, analyzer_legacy);
-  core::MergeOptions merge_legacy;
-  merge_legacy.jobs = 2;
-  const core::MergeResult merged_shimmed =
-      core::merge_profile_files({path.string()}, merge_legacy);
-#pragma GCC diagnostic pop
-
-  EXPECT_EQ(shimmed.program().samples, fresh.program().samples);
-  EXPECT_EQ(shimmed.program().match, fresh.program().match);
-  EXPECT_EQ(shimmed.program().mismatch, fresh.program().mismatch);
-  EXPECT_EQ(merged_shimmed.summary.files_merged,
-            merged_fresh.summary.files_merged);
-  EXPECT_EQ(merged_shimmed.data.thread_count(),
-            merged_fresh.data.thread_count());
-}
-
-TEST(ProfileIoCompat, DeprecatedFreeFunctionsMatchReaderWriterResults) {
-  // The pre-redesign free functions must keep compiling (with a warning —
-  // which is exactly what this pragma scope silences) and keep their
-  // text-only behavior: byte-identical output and equivalent loads.
-  const core::SessionData data = tiny_session();
-  const core::ProfileWriter writer;  // text by default, like the shims
-  const std::string fresh_bytes = writer.bytes(data);
-  const std::vector<std::string> fresh_shards = writer.thread_shards(data);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  std::ostringstream legacy_out;
-  core::save_profile(data, legacy_out);
-  EXPECT_EQ(legacy_out.str(), fresh_bytes);
-  EXPECT_EQ(core::serialize_thread_shards(data), fresh_shards);
-
-  const fs::path path = fs::path(::testing::TempDir()) / "compat_shim.prof";
-  core::save_profile_file(data, path.string());
-  const core::SessionData legacy_loaded =
-      core::load_profile_file(path.string());
-  std::istringstream legacy_in(fresh_bytes);
-  const core::LoadResult legacy_result =
-      core::load_profile(legacy_in, core::LoadOptions{});
-#pragma GCC diagnostic pop
-
-  const core::SessionData fresh_loaded =
-      core::ProfileReader().read_file(path.string()).data;
-  EXPECT_EQ(writer.bytes(legacy_loaded), writer.bytes(fresh_loaded));
-  EXPECT_TRUE(legacy_result.complete);
-  EXPECT_EQ(writer.bytes(legacy_result.data), fresh_bytes);
-}
 
 TEST(ErrorHierarchy, EveryTypedFailureSharesTheBase) {
   const core::ProfileError profile_error("header", 3, "bad header");
